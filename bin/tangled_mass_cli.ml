@@ -488,7 +488,10 @@ let serve_cmd =
          & info [ "queue-capacity" ] ~docv:"N" ~doc)
   in
   let batch_arg =
-    let doc = "Frames read per burst from the input stream." in
+    let doc =
+      "Most frames answered per burst: the complete frames already \
+       received, up to $(docv); a burst never waits for more."
+    in
     Arg.(value & opt int Serve.default_config.Serve.batch
          & info [ "batch" ] ~docv:"N" ~doc)
   in

@@ -212,6 +212,10 @@ let public_op pub x =
 
 let f4 = B.of_int 65537
 
+(* prime pairs whose product came out a bit short of the requested
+   width: the whole pair is drawn again *)
+let c_short_modulus = Tangled_obs.Obs.counter "rsa.keygen_short_modulus"
+
 let generate ?(mr_rounds = 20) rng ~bits =
   if bits < 64 then invalid_arg "Rsa.generate: modulus below 64 bits";
   let pbits = (bits + 1) / 2 in
@@ -222,7 +226,10 @@ let generate ?(mr_rounds = 20) rng ~bits =
     if B.equal p q then attempt ()
     else begin
       let n = B.mul p q in
-      if B.bit_length n <> bits then attempt ()
+      if B.bit_length n <> bits then begin
+        Tangled_obs.Obs.incr c_short_modulus;
+        attempt ()
+      end
       else begin
         let phi = B.mul (B.sub p B.one) (B.sub q B.one) in
         let e = f4 in

@@ -3,7 +3,7 @@
     The simulation signs every certificate for real: chains only verify
     when the issuer's private key actually produced the signature.  Key
     sizes are configurable; the default used across the project is
-    512 bits — small enough that a pure-OCaml bignum signs tens of
+    384 bits — small enough that a pure-OCaml bignum signs tens of
     thousands of leaves per second, and irrelevant to the paper's
     analysis, which never attacks the keys. *)
 
@@ -39,7 +39,13 @@ val generate : ?mr_rounds:int -> Tangled_util.Prng.t -> bits:int -> keypair
 (** [generate rng ~bits] makes a fresh keypair with a [bits]-bit
     modulus and public exponent 65537.  [mr_rounds] tunes the
     Miller–Rabin confidence of the prime search (default 20); bulk
-    generators trade it down.
+    generators trade it down.  It draws p then q with
+    {!Tangled_numeric.Prime.generate} and draws the pair again when
+    p = q, when p·q comes out short of [bits], or when 65537 is not
+    invertible mod (p-1)(q-1).  That draw sequence is part of the
+    contract: seeded worlds depend on it for every key, so the
+    candidates that reach Miller–Rabin and the bases they draw must
+    not move.
     @raise Invalid_argument when [bits < 64]. *)
 
 val key_size_bytes : public -> int

@@ -56,7 +56,7 @@ type t = {
 }
 
 val build : ?key_bits:int -> seed:int -> unit -> t
-(** Deterministic in [seed].  [key_bits] defaults to 512. *)
+(** Deterministic in [seed].  [key_bits] defaults to 384. *)
 
 val default : t Lazy.t
 (** A process-wide universe with seed 1, shared by tests and examples

@@ -1009,15 +1009,45 @@ let summary_json t =
     ]
 
 let serve_channel ?(summary_frame = true) t ic oc =
-  let read_burst () =
-    let rec go acc k =
-      if k = 0 then List.rev acc
-      else
-        match In_channel.input_line ic with
-        | None -> List.rev acc
-        | Some line -> go (line :: acc) (k - 1)
-    in
-    go [] (max 1 t.config.batch)
+  (* complete lines read but not yet served, and the unterminated tail
+     of the last read *)
+  let pending = Queue.create () in
+  let partial = Buffer.create 4096 in
+  let chunk = Bytes.create 65536 in
+  let eof = ref false in
+  let absorb n =
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get chunk i = '\n' then begin
+        Buffer.add_subbytes partial chunk !start (i - !start);
+        Queue.push (Buffer.contents partial) pending;
+        Buffer.clear partial;
+        start := i + 1
+      end
+    done;
+    Buffer.add_subbytes partial chunk !start (n - !start)
+  in
+  (* The complete lines already available, at most [batch]: a client
+     that sends one frame and waits gets its answer.  Blocks only while
+     no line is pending; [In_channel.input] returns as soon as any bytes
+     arrive.  At EOF an unterminated last line still counts, as it does
+     for [input_line]; [] means EOF with nothing left. *)
+  let rec read_burst () =
+    if Queue.is_empty pending && not !eof then begin
+      (match In_channel.input ic chunk 0 (Bytes.length chunk) with
+      | 0 ->
+          eof := true;
+          if Buffer.length partial > 0 then Queue.push (Buffer.contents partial) pending
+      | n -> absorb n);
+      read_burst ()
+    end
+    else begin
+      let rec take k acc =
+        if k = 0 || Queue.is_empty pending then List.rev acc
+        else take (k - 1) (Queue.pop pending :: acc)
+      in
+      take (max 1 t.config.batch) []
+    end
   in
   let rec loop () =
     if not t.draining then begin

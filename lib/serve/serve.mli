@@ -97,7 +97,8 @@ val protocol_version : string
 type config = {
   queue_capacity : int;  (** admission-queue bound (default 64) *)
   batch : int;
-      (** frames read per burst in {!serve_channel} (default 32) *)
+      (** most frames answered per burst in {!serve_channel}
+          (default 32) *)
   default_deadline_s : float;
       (** per-request deadline when the frame has no [deadline_ms]
           (default 0.25) *)
@@ -196,7 +197,10 @@ val serve_burst : t -> string list -> string list
     frame, in input order.  Never raises. *)
 
 val serve_channel : ?summary_frame:bool -> t -> in_channel -> out_channel -> summary
-(** The stdin/socket loop: read up to [batch] frames, answer them,
-    flush, repeat until EOF or a processed [drain]; then emit a final
-    summary frame ([summary_frame], default true) and return the
-    totals.  EOF counts as a clean drain. *)
+(** The stdin/socket loop: take the complete frames already received,
+    at most [batch], answer them, flush, repeat until EOF or a
+    processed [drain]; then emit a final summary frame
+    ([summary_frame], default true) and return the totals.  It blocks
+    only while no complete frame is pending, so an interactive client
+    that sends one frame and waits gets its answer.  EOF counts as a
+    clean drain. *)

@@ -9,6 +9,7 @@ let () =
       ("cache", Test_cache.suite);
       ("bigint", Test_bigint.suite);
       ("montgomery", Test_montgomery.suite);
+      ("prime", Test_prime.suite);
       ("hash", Test_hash.suite);
       ("rsa", Test_rsa.suite);
       ("asn1", Test_asn1.suite);

@@ -517,6 +517,97 @@ let test_serve_channel_eof_drains () =
   Sys.remove path;
   Sys.remove out_path
 
+(* An interactive client over a pipe: each frame must be answered while
+   the pipe stays open, not after [batch] frames or EOF pile up.  Two
+   frames plus a partial third go in one write; the third is answered
+   once its newline arrives.  Closing the pipe then drains the server. *)
+let test_serve_channel_interactive () =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  let t = server () in
+  let server_ic = Unix.in_channel_of_descr req_r in
+  let server_oc = Unix.out_channel_of_descr resp_w in
+  let served =
+    Domain.spawn (fun () ->
+        let s = Serve.serve_channel t server_ic server_oc in
+        close_out server_oc;
+        s)
+  in
+  let client = Unix.out_channel_of_descr req_w in
+  let send s =
+    output_string client s;
+    flush client
+  in
+  (* raw reads, so select never misses bytes a channel buffered *)
+  let inbox = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let read_some timeout =
+    match Unix.select [ resp_r ] [] [] timeout with
+    | [], _, _ -> false
+    | _ ->
+        let k = Unix.read resp_r chunk 0 (Bytes.length chunk) in
+        Buffer.add_subbytes inbox chunk 0 k;
+        k > 0
+  in
+  let take_lines n =
+    match String.split_on_char '\n' (Buffer.contents inbox) with
+    | parts when List.length parts > n ->
+        let lines = List.filteri (fun i _ -> i < n) parts in
+        let rest = String.concat "\n" (List.filteri (fun i _ -> i >= n) parts) in
+        Buffer.clear inbox;
+        Buffer.add_string inbox rest;
+        Some lines
+    | _ -> None
+  in
+  (* [n] response lines within 5 s, or None *)
+  let await n =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    let rec go () =
+      match take_lines n with
+      | Some _ as lines -> lines
+      | None ->
+          let left = deadline -. Unix.gettimeofday () in
+          if left > 0.0 && read_some left then go () else None
+    in
+    go ()
+  in
+  send (health 1 ^ "\n");
+  let first = await 1 in
+  let second =
+    match first with
+    | None -> None
+    | Some _ ->
+        send (health 2 ^ "\n" ^ health 3 ^ "\n" ^ String.sub (health 4) 0 5);
+        await 2
+  in
+  let third =
+    match second with
+    | None -> None
+    | Some _ ->
+        let h4 = health 4 in
+        send (String.sub h4 5 (String.length h4 - 5) ^ "\n");
+        await 1
+  in
+  (* EOF: the server drains whether or not it answered in time *)
+  close_out client;
+  let s = Domain.join served in
+  while read_some 5.0 do () done;
+  let rest = Buffer.contents inbox in
+  Unix.close resp_r;
+  close_in server_ic;
+  let statuses = function
+    | Some lines -> List.map status_of lines
+    | None -> Alcotest.fail "no response within 5 s while the pipe stayed open"
+  in
+  check Alcotest.(list (option string)) "one frame, one reply" [ Some "ok" ] (statuses first);
+  check Alcotest.(list (option string)) "two frames in one write" [ Some "ok"; Some "ok" ]
+    (statuses second);
+  check Alcotest.(list (option string)) "partial frame completed" [ Some "ok" ] (statuses third);
+  check Alcotest.int "all four seen" 4 s.Serve.seen;
+  check Alcotest.bool "EOF drained" true s.Serve.drained;
+  check Alcotest.bool "reconciled" true (Serve.reconciled s);
+  check (Alcotest.option Alcotest.string) "summary frame after EOF" (Some "summary")
+    (status_of (String.trim rest))
+
 (* --- unit: fault severity ---------------------------------------------- *)
 
 let test_fault_classification () =
@@ -816,6 +907,8 @@ let suite =
       test_drain_completes_in_flight;
     Alcotest.test_case "serve_channel drains on EOF" `Quick
       test_serve_channel_eof_drains;
+    Alcotest.test_case "serve_channel answers an open pipe" `Quick
+      test_serve_channel_interactive;
     Alcotest.test_case "fault severity classification" `Quick
       test_fault_classification;
     Alcotest.test_case "chaos drill at pinned seed" `Slow
