@@ -17,17 +17,16 @@
    path as a JSON ratio.  The serve section drives the trust-decision
    server end to end over a mixed request corpus — cold and warm
    sustained qps, plus per-class p50/p99 from the server's own
-   latency histograms.  The cache_precompute group pairs the general
-   modpow against the per-key exponent-schedule, fixed-base-comb and
-   sparse-65537 fast paths and the RSA sign loop with the precompute
-   caches on vs off; the serve-cache section measures warm qps with
-   the decision cache off vs on and sweeps hit rate across capacities
-   over a corpus whose key space exceeds the largest capacity; and the
-   scale section times Notary corpus generation (certs/s) with the
-   wide multiplication kernel and lean issuance off (PR 8's best
-   path) vs on at paper scale.  The wide_kernel group sweeps the
-   26-bit plane against the 28-bit packed plane (multiply, squaring,
-   and the full windowed walk) across 384-2048-bit operands.  The ct
+   latency histograms.  The cache_precompute group pairs the one-shot
+   modpow against the scheduled walk that reuses a per-key schedule and
+   scratch, and times the sparse 65537 walk; the
+   serve-cache section measures warm qps with the decision cache off
+   vs on and sweeps hit rate across capacities over a corpus whose key
+   space exceeds the largest capacity; and the scale section times
+   Notary corpus generation (certs/s) with lean issuance off vs on at
+   paper scale.  The wide_kernel group sweeps the one Montgomery plane
+   (full-exponent and 65537 walks, RSA sign and verify) across
+   384-2048-bit operands.  The ct
    section drives the RFC 6962 Merkle log at 200 k synthetic DER-sized
    leaves — append throughput through the compaction frontier, then
    inclusion/consistency proof generation and pure-verifier checking,
@@ -327,41 +326,45 @@ let scaling_tests () =
   in
   sign_tests @ hash_tests @ modpow_tests
 
-(* --- wide_kernel: 26-bit plane vs the 28-bit packed plane --------------- *)
+(* --- wide_kernel: the one Montgomery plane across widths ------------------ *)
 
 let wide_kernel_widths = [ 384; 512; 768; 1024; 1536; 2048 ]
 
-(* raw multiply/square on prepacked operands (the kernel the RSA hot
-   path runs), and the full windowed walk, one pair per operand width *)
+(* the scheduled walk with a full-width exponent and with 65537 (the
+   verify shape) at each modulus width, plus RSA sign and verify at the
+   key sizes --key-bits accepts *)
 let wide_kernel_tests () =
   let module B = Tangled_numeric.Bigint in
   let module Mont = Tangled_numeric.Montgomery in
-  let module W = Mont.Wide in
   let rng = Prng.create 4242 in
+  let msg = "width sweep" in
   List.concat_map
     (fun bits ->
       let m = Tangled_numeric.Prime.generate ~rounds:6 rng ~bits in
-      let a = B.random_below rng m and b = B.random_below rng m in
-      let e = B.random_below rng m in
+      let a = B.random_below rng m in
       let ctx = Mont.create m in
       let sc = Mont.scratch ctx in
-      let wt = W.create m in
-      let wsc = W.scratch wt in
-      let sched = Mont.schedule e in
-      let pa = W.Internal.pack a and pb = W.Internal.pack b in
-      let th = W.Internal.karatsuba_threshold in
-      [
-        Test.make ~name:(Printf.sprintf "bigint_mul_%dbit" bits)
-          (Staged.stage (fun () -> ignore (B.mul a b)));
-        Test.make ~name:(Printf.sprintf "wide_mul_%dbit" bits)
-          (Staged.stage (fun () -> ignore (W.Internal.mul_limbs ~threshold:th pa pb)));
-        Test.make ~name:(Printf.sprintf "wide_sqr_%dbit" bits)
-          (Staged.stage (fun () -> ignore (W.Internal.sqr_limbs ~threshold:th pa)));
-        Test.make ~name:(Printf.sprintf "powm26_%dbit" bits)
-          (Staged.stage (fun () -> ignore (Mont.powm ctx sc sched a)));
-        Test.make ~name:(Printf.sprintf "powm_wide_%dbit" bits)
-          (Staged.stage (fun () -> ignore (W.powm wt wsc sched a)));
-      ])
+      let sched = Mont.schedule (B.random_below rng m) in
+      let sched_65537 = Mont.schedule (B.of_int 65537) in
+      let rsa =
+        if not (List.mem bits [ 384; 512; 1024; 2048 ]) then []
+        else begin
+          let key = Rsa.generate ~mr_rounds:6 rng ~bits in
+          let signature = Rsa.sign key ~digest:Dk.SHA1 msg in
+          [
+            Test.make ~name:(Printf.sprintf "rsa%d_sign" bits)
+              (Staged.stage (fun () -> ignore (Rsa.sign key ~digest:Dk.SHA1 msg)));
+            Test.make ~name:(Printf.sprintf "rsa%d_verify" bits)
+              (Staged.stage (fun () ->
+                   ignore (Rsa.verify key.Rsa.pub ~digest:Dk.SHA1 ~msg ~signature)));
+          ]
+        end
+      in
+      Test.make ~name:(Printf.sprintf "powm_%dbit" bits)
+        (Staged.stage (fun () -> ignore (Mont.powm ctx sc sched a)))
+      :: Test.make ~name:(Printf.sprintf "powm_65537_%dbit" bits)
+           (Staged.stage (fun () -> ignore (Mont.powm ctx sc sched_65537 a)))
+      :: rsa)
     wide_kernel_widths
 
 (* --- ablation benches (DESIGN.md §5) ------------------------------------ *)
@@ -593,11 +596,10 @@ let run_serve_bench ?(requests = 1024) ?(warm_rounds = 3) () =
 
 (* --- the decision cache and the signing precompute --------------------- *)
 
-(* Microbenches for the PR 8 fast paths: the per-key exponent schedule
-   (allocation-free windowed powm), the sparse 65537 walk, the
-   fixed-base comb against the general modpow it shortcuts, and the
-   end-to-end RSA sign/verify pair with the per-key precompute caches
-   on vs off.  384-bit operands — the Notary corpus default. *)
+(* Microbenches for the per-key precompute: the one-shot modpow (a
+   fresh schedule and scratch per call) against the scheduled walk
+   that reuses both, and the sparse walk 65537 takes.  384-bit
+   operands — the Notary corpus default. *)
 let precompute_tests () =
   let module B = Tangled_numeric.Bigint in
   let module Mont = Tangled_numeric.Montgomery in
@@ -609,28 +611,14 @@ let precompute_tests () =
   let e = B.random_below rng n in
   let sched = Mont.schedule e in
   let sc = Mont.scratch ctx in
-  let fb =
-    Mont.Fixed_base.precompute ctx b ~bits:(max 1 (Mont.schedule_bits sched))
-  in
   let sched_65537 = Mont.schedule (B.of_int 65537) in
-  let msg = String.make 64 'm' in
   [
     Test.make ~name:"modpow_384bit_full_exp"
       (Staged.stage (fun () -> ignore (Mont.modpow ctx b e)));
     Test.make ~name:"powm_scheduled_384bit"
       (Staged.stage (fun () -> ignore (Mont.powm ctx sc sched b)));
-    Test.make ~name:"fixed_base_powm_384bit"
-      (Staged.stage (fun () -> ignore (Mont.Fixed_base.powm fb sched)));
-    Test.make ~name:"powm_sparse_65537"
-      (Staged.stage (fun () -> ignore (Mont.powm_sparse ctx sc sched_65537 b)));
-    Test.make ~name:"rsa384_sign_precompute_on"
-      (Staged.stage (fun () ->
-           Rsa.set_precompute true;
-           ignore (Rsa.sign key ~digest:Dk.SHA1 msg)));
-    Test.make ~name:"rsa384_sign_precompute_off"
-      (Staged.stage (fun () ->
-           Rsa.set_precompute false;
-           ignore (Rsa.sign key ~digest:Dk.SHA1 msg)));
+    Test.make ~name:"powm_65537_384bit"
+      (Staged.stage (fun () -> ignore (Mont.powm ctx sc sched_65537 b)));
   ]
 
 (* --- serve decision cache: warm qps on/off + capacity sweep ------------ *)
@@ -792,15 +780,14 @@ let measure_md5_pair ?(rounds = 200) ?(batch = 64) () =
   Array.sort compare ratios;
   ratios.(rounds / 2)
 
-(* --- scale certs/s with the precompute off vs on ----------------------- *)
+(* --- scale certs/s with lean issuance off vs on --------------------------- *)
 
 let scale_results : (string * J.t) list ref = ref []
 
 (* the paper-scale gate's own workload — Notary corpus generation on
-   the columnar arena — timed with the wide multiplication kernel and
-   lean issuance disabled (PR 8's best code path, the "before") and
-   enabled.  The per-key precompute stays on for both sides: it was
-   PR 8's contribution and belongs to the baseline. *)
+   the columnar arena — timed with lean issuance disabled (every issued
+   leaf re-decoded and every chain re-verified, the "before") and
+   enabled *)
 let run_scale_pair ?(leaves = 200_000) () =
   let w = Lazy.force world in
   let u = w.Pipeline.universe in
@@ -814,17 +801,14 @@ let run_scale_pair ?(leaves = 200_000) () =
   in
   Printf.printf "--- scale certs/s at %d leaves %s\n%!" leaves
     (String.make 25 '-');
-  Rsa.set_precompute true;
-  Rsa.set_wide_kernel false;
   Authority.set_lean false;
   Notary.set_lean false;
   let before = measure () in
-  Rsa.set_wide_kernel true;
   Authority.set_lean true;
   Notary.set_lean true;
   let after = measure () in
-  Printf.printf "  %-38s %8.0f certs/s\n%!" "wide kernel + lean off (before)" before;
-  Printf.printf "  %-38s %8.0f certs/s\n%!" "wide kernel + lean on (after)" after;
+  Printf.printf "  %-38s %8.0f certs/s\n%!" "lean issuance off (before)" before;
+  Printf.printf "  %-38s %8.0f certs/s\n%!" "lean issuance on (after)" after;
   Printf.printf "  %-38s %8.2fx\n%!" "speedup" (after /. before);
   scale_results :=
     [
@@ -1009,26 +993,6 @@ let json_report () =
     @ ratio "powm_schedule_speedup_384"
         [| "cache_precompute"; "modpow_384bit_full_exp" |]
         [| "cache_precompute"; "powm_scheduled_384bit" |]
-    @ ratio "fixed_base_speedup_384"
-        [| "cache_precompute"; "modpow_384bit_full_exp" |]
-        [| "cache_precompute"; "fixed_base_powm_384bit" |]
-    @ ratio "sparse_65537_speedup_384"
-        [| "cache_precompute"; "modpow_384bit_full_exp" |]
-        [| "cache_precompute"; "powm_sparse_65537" |]
-    @ ratio "rsa_sign_precompute_speedup_384"
-        [| "cache_precompute"; "rsa384_sign_precompute_off" |]
-        [| "cache_precompute"; "rsa384_sign_precompute_on" |]
-    @ List.concat_map
-        (fun bits ->
-          ratio
-            (Printf.sprintf "wide_mul_speedup_%d" bits)
-            [| "wide_kernel"; Printf.sprintf "bigint_mul_%dbit" bits |]
-            [| "wide_kernel"; Printf.sprintf "wide_mul_%dbit" bits |]
-          @ ratio
-              (Printf.sprintf "wide_powm_speedup_%d" bits)
-              [| "wide_kernel"; Printf.sprintf "powm26_%dbit" bits |]
-              [| "wide_kernel"; Printf.sprintf "powm_wide_%dbit" bits |])
-        wide_kernel_widths
   in
   (* digest throughput at each scaling size, derived from the ns/run
      estimates: bytes hashed per second, reported in MB/s *)
@@ -1120,9 +1084,6 @@ let () =
   if quick then run_serve_bench ~requests:256 ~warm_rounds:1 ()
   else run_serve_bench ();
   run_group ~quota "cache_precompute" (precompute_tests ());
-  (* the sign on/off pair leaves the toggle wherever Bechamel's last
-     iteration put it — restore the default before anything downstream *)
-  Rsa.set_precompute true;
   if quick then run_serve_cache_bench ~requests:256 ~warm_rounds:1 ()
   else run_serve_cache_bench ();
   if not quick then begin
@@ -1185,13 +1146,7 @@ let () =
       | Some b, Some a when a > 0.0 ->
           Printf.printf "%s speedup: %.1fx\n%!" label (b /. a)
       | _ -> ())
-    [
-      ("powm schedule 384-bit", "modpow_384bit_full_exp", "powm_scheduled_384bit");
-      ("fixed-base comb 384-bit", "modpow_384bit_full_exp", "fixed_base_powm_384bit");
-      ("sparse 65537 384-bit", "modpow_384bit_full_exp", "powm_sparse_65537");
-      ("rsa sign precompute 384-bit", "rsa384_sign_precompute_off",
-       "rsa384_sign_precompute_on");
-    ];
+    [ ("powm schedule 384-bit", "modpow_384bit_full_exp", "powm_scheduled_384bit") ];
   (match !obs_overhead_pct with
   | Some pct ->
       Printf.printf
@@ -1199,17 +1154,6 @@ let () =
   | None -> ());
   (let hits, misses = Chain.verify_cache_stats () in
    Printf.printf "verify cache: %d hits / %d misses\n%!" hits misses);
-  List.iter
-    (fun bits ->
-      match
-        ( find_ns "wide_kernel" (Printf.sprintf "powm26_%dbit" bits),
-          find_ns "wide_kernel" (Printf.sprintf "powm_wide_%dbit" bits) )
-      with
-      | Some p26, Some pw when pw > 0.0 ->
-          Printf.printf "powm %d-bit wide-plane speedup (26-bit/wide): %.2fx\n%!"
-            bits (p26 /. pw)
-      | _ -> ())
-    wide_kernel_widths;
   if not no_json then begin
     let contents = J.to_string ~pretty:true (json_report ()) ^ "\n" in
     Tangled_core.Export.write_text out contents;

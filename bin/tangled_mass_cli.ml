@@ -654,15 +654,15 @@ let audit_cmd =
 (* --- selfcheck --------------------------------------------------------- *)
 
 (* The regression gate behind `dune build @check`: (1) cross-check the
-   Montgomery exponentiation against the legacy division-based modpow
-   on deterministic random inputs, (2) check the unboxed streaming hash
-   cores against published vectors, padding-boundary lengths and the
-   retained boxed reference implementations, (3) rebuild the quick
-   world at --jobs 1 and compare the SHA-256 of the full rendered
-   report against the golden digest committed in test/ — any drift in
-   the study's bytes fails the build — and (4) export the quick run's
-   observability trace and validate it against the versioned JSONL
-   schema. *)
+   Montgomery exponentiation and RSA-CRT signatures against the
+   division-based Bigint.modpow on deterministic random inputs, (2)
+   check the unboxed streaming hash cores against published vectors,
+   padding-boundary lengths and the retained boxed reference
+   implementations, (3) rebuild the quick world at --jobs 1 and compare
+   the SHA-256 of the full rendered report against the golden digest
+   committed in test/ — any drift in the study's bytes fails the build
+   — and (4) export the quick run's observability trace and validate
+   it against the versioned JSONL schema. *)
 
 let selfcheck_cmd =
   let module B = Tangled_numeric.Bigint in
@@ -678,15 +678,15 @@ let selfcheck_cmd =
   in
   let mont_crosscheck () =
     let rng = Prng.create 271828 in
+    let widths = [| 64; 128; 256; 384; 512; 896; 1024; 1764; 2072 |] in
     let trials = 150 in
     let failures = ref 0 in
     for i = 1 to trials do
-      let bits = [| 64; 128; 256; 384; 512; 1024 |].(i mod 6) in
+      let bits = widths.(i mod Array.length widths) in
       let m =
-        (* random odd modulus > 1 of roughly [bits] bits *)
-        let v = B.random_bits rng bits in
-        let v = if B.is_odd v then v else B.add v B.one in
-        if B.compare v B.one <= 0 then B.of_int 3 else v
+        (* random odd modulus of exactly [bits] bits *)
+        let v = B.add (B.shift_left B.one (bits - 1)) (B.random_bits rng (bits - 1)) in
+        if B.is_odd v then v else B.add v B.one
       in
       let base = B.random_bits rng (bits + 13) (* deliberately >= m sometimes *) in
       let e = B.random_bits rng bits in
@@ -700,39 +700,35 @@ let selfcheck_cmd =
     Printf.printf "montgomery-vs-oracle: %d/%d trials ok\n%!" (trials - !failures) trials;
     !failures = 0
   in
-  let wide_kernel_check () =
-    (* the 28-bit wide multiplication kernel is a pure speedup: RSA
-       signatures must be byte-identical with it on or off, at the
-       simulation's key size and above *)
+  let rsa_sign_check () =
+    (* RSA-CRT signatures against EM^d mod n on the division-based
+       oracle, at the simulation's key size, an odd width whose CRT
+       primes differ in limb count, and widths whose primes fill their
+       top limb *)
     let module Rsa = Tangled_crypto.Rsa in
     let module Dk = Tangled_hash.Digest_kind in
     let rng = Prng.create 161803 in
     let failures = ref 0 in
-    Fun.protect
-      ~finally:(fun () -> Rsa.set_wide_kernel true)
-      (fun () ->
-        List.iter
-          (fun bits ->
-            let key = Rsa.generate ~mr_rounds:6 rng ~bits in
-            let digest = if bits < 512 then Dk.SHA1 else Dk.SHA256 in
-            let msg = Printf.sprintf "wide kernel selfcheck %d" bits in
-            Rsa.set_wide_kernel true;
-            let s_on = Rsa.sign key ~digest msg in
-            Rsa.set_wide_kernel false;
-            let s_off = Rsa.sign key ~digest msg in
-            if not (String.equal s_on s_off) then begin
-              incr failures;
-              Printf.eprintf
-                "selfcheck: wide-kernel signature differs at %d bits\n" bits
-            end;
-            Rsa.set_wide_kernel true;
-            if not (Rsa.verify key.Rsa.pub ~digest ~msg ~signature:s_off) then begin
-              incr failures;
-              Printf.eprintf
-                "selfcheck: wide-kernel verify failed at %d bits\n" bits
-            end)
-          [ 384; 512; 768 ]);
-    Printf.printf "wide-kernel-vs-oracle: %s\n%!"
+    List.iter
+      (fun bits ->
+        let key = Rsa.generate ~mr_rounds:6 rng ~bits in
+        let n = key.Rsa.pub.Rsa.n in
+        let k = Rsa.key_size_bytes key.Rsa.pub in
+        let msg = Printf.sprintf "rsa selfcheck %d" bits in
+        let t = Tangled_util.Hex.decode "3021300906052b0e03021a05000414" ^ Dk.digest Dk.SHA1 msg in
+        let em = "\x00\x01" ^ String.make (k - 3 - String.length t) '\xff' ^ "\x00" ^ t in
+        let want = B.modpow (B.of_bytes_be em) key.Rsa.d n in
+        let signature = Rsa.sign key ~digest:Dk.SHA1 msg in
+        if not (B.equal want (B.of_bytes_be signature)) then begin
+          incr failures;
+          Printf.eprintf "selfcheck: RSA signature differs from the oracle at %d bits\n" bits
+        end;
+        if not (Rsa.verify key.Rsa.pub ~digest:Dk.SHA1 ~msg ~signature) then begin
+          incr failures;
+          Printf.eprintf "selfcheck: RSA verify rejected a signature at %d bits\n" bits
+        end)
+      [ 384; 393; 1036; 1792 ];
+    Printf.printf "rsa-sign-vs-oracle: %s\n%!"
       (if !failures = 0 then "ok" else string_of_int !failures ^ " failures");
     !failures = 0
   in
@@ -813,7 +809,7 @@ let selfcheck_cmd =
   in
   let run () golden update =
     let ok_mont = mont_crosscheck () in
-    let ok_wide = wide_kernel_check () in
+    let ok_rsa = rsa_sign_check () in
     let ok_hash = hash_vectors_check () in
     let world =
       Pipeline.run
@@ -842,7 +838,7 @@ let selfcheck_cmd =
     if update then begin
       Tangled_core.Export.write_text golden (digest ^ "\n");
       Printf.printf "wrote %s (%s)\n%!" golden digest;
-      if not (ok_mont && ok_wide && ok_hash && ok_trace) then exit 1
+      if not (ok_mont && ok_rsa && ok_hash && ok_trace) then exit 1
     end
     else begin
       let expected = String.trim (In_channel.with_open_text golden In_channel.input_all) in
@@ -852,7 +848,7 @@ let selfcheck_cmd =
         Printf.eprintf
           "selfcheck: report digest drifted\n  golden:  %s\n  current: %s\n%!"
           expected digest;
-      if not (ok_mont && ok_wide && ok_hash && ok_digest && ok_trace) then exit 1
+      if not (ok_mont && ok_rsa && ok_hash && ok_digest && ok_trace) then exit 1
     end
   in
   Cmd.v

@@ -8,7 +8,6 @@ module Cache = Tangled_cache.Cache
 type public = {
   n : B.t;
   e : B.t;
-  mutable mont_n : Mont.t option;
   mutable n_sha1 : string option;
 }
 
@@ -20,13 +19,11 @@ type private_key = {
   dp : B.t;
   dq : B.t;
   qinv : B.t;
-  mutable mont_p : Mont.t option;
-  mutable mont_q : Mont.t option;
 }
 
 type keypair = private_key
 
-let make_public ~n ~e = { n; e; mont_n = None; n_sha1 = None }
+let make_public ~n ~e = { n; e; n_sha1 = None }
 
 (* SHA-1 of the raw modulus bytes, memoised on the key: X.509 key
    identifiers hash the same modulus for every certificate a CA signs.
@@ -39,71 +36,17 @@ let modulus_sha1 pub =
       pub.n_sha1 <- Some h;
       h
 
-(* Montgomery contexts are built on first use and memoised in the key
-   record, so setup is paid once per CA rather than once per
-   operation.  Keys parsed from hostile DER can carry an even or
-   degenerate modulus; those fall back to the division-based modpow,
-   which tolerates anything.  Filling the cache from two domains at
-   once is a benign race: both compute the identical context and one
-   write wins. *)
-let mont_ctx m get set =
-  match get () with
-  | Some _ as c -> c
-  | None ->
-      if B.is_odd m && B.compare m B.one > 0 then begin
-        let c = Mont.create m in
-        set (Some c);
-        Some c
-      end
-      else None
-
-let mont_n pub = mont_ctx pub.n (fun () -> pub.mont_n) (fun c -> pub.mont_n <- c)
-let mont_p key = mont_ctx key.p (fun () -> key.mont_p) (fun c -> key.mont_p <- c)
-let mont_q key = mont_ctx key.q (fun () -> key.mont_q) (fun c -> key.mont_q <- c)
-
-(* --- per-key operation precompute ------------------------------------
+(* --- per-key operation contexts ----------------------------------------
 
    A handful of CA keys sign (and a pool of public keys verifies)
-   millions of times each, so everything reusable about an
-   exponentiation against one key is hoisted into an op context: the
-   exponent's window schedule, and the preallocated Montgomery
-   scratch that makes the steady-state sign/verify allocation-free.
-   Contexts live in bounded per-domain caches from lib/cache keyed by
-   the key's modulus bytes — scratch buffers are mutable, so they
-   must never be shared across domains, and the capacity bound means
-   a run over an unbounded key population cannot grow the heap.
-
-   [set_precompute false] routes every operation through the plain
-   Mont.modpow path instead; results are byte-identical either way
-   (the QCheck suite pins this), so the toggle exists purely for the
-   bench's before/after pairs and cache ablations. *)
-
-let precompute_on = Atomic.make true
-let set_precompute b = Atomic.set precompute_on b
-let precompute_enabled () = Atomic.get precompute_on
-
-(* The wide-limb (28-bit) Montgomery plane doubles as a second
-   before/after axis: [set_wide_kernel false] pins sign/verify to the
-   26-bit plane that shipped first.  Signatures are byte-identical
-   either way — the toggle exists for the bench pairs and for
-   bisecting, not because results differ. *)
-let wide_on = Atomic.make true
-let set_wide_kernel b = Atomic.set wide_on b
-let wide_enabled () = Atomic.get wide_on
-
-(* Everything the allocation-free CRT sign path needs on the wide
-   plane: per-prime contexts and scratches, q and qinv·R mod p packed
-   once, and the two half-exponentiation result buffers. *)
-type wide_sign = {
-  ws_p : Mont.Wide.t;
-  ws_scr_p : Mont.Wide.wscratch;
-  ws_q : Mont.Wide.t;
-  ws_scr_q : Mont.Wide.wscratch;
-  ws_qinv_m : int array;
-  ws_qlimbs : int array;
-  ws_m1 : int array;
-  ws_m2 : int array;
-}
+   millions of times each, so everything reusable about one key's
+   exponentiations is built once into an op context: the Montgomery
+   contexts, the exponent schedules, the scratch and the result
+   buffers that keep steady-state sign and verify down to allocating
+   their output.  Contexts live in bounded per-domain caches from
+   lib/cache keyed by the modulus bytes — scratch buffers are mutable,
+   so they must never be shared across domains, and the capacity bound
+   means a run over an unbounded key population cannot grow the heap. *)
 
 type sign_ctx = {
   sg_p : Mont.t;
@@ -112,14 +55,17 @@ type sign_ctx = {
   sg_q : Mont.t;
   sg_dq : Mont.schedule;
   sg_scr_q : Mont.scratch;
-  sg_wide : wide_sign option;
+  sg_qinv_m : int array; (* qinv in p's Montgomery form *)
+  sg_qlimbs : int array; (* q at p's limb count *)
+  sg_m1 : int array;
+  sg_m2 : int array;
 }
 
 type verify_ctx = {
   vf_n : Mont.t;
   vf_e : Mont.schedule;
+  vf_exp : B.t; (* the exponent behind [vf_e] *)
   vf_scr : Mont.scratch;
-  vf_wide : (Mont.Wide.t * Mont.Wide.wscratch) option;
   vf_nbytes : string;
   vf_m : int array;
 }
@@ -130,85 +76,59 @@ let sign_ctxs : sign_ctx Cache.t Domain.DLS.key =
 let verify_ctxs : verify_ctx Cache.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Cache.create ~name:"rsa.verify_ctx" ~capacity:256 ())
 
-(* The wide CRT path needs [q < 2p] (equal prime bit lengths) for the
-   one-subtraction reduction in the recombination, and the EMSA block
-   must fit the 2k-limb division-free base load of each half. *)
-let wide_sign_ctx key =
-  if B.bit_length key.p <> B.bit_length key.q then None
-  else begin
-    let em_bits = ((B.bit_length (B.mul key.p key.q) + 7) / 8) * 8 in
-    let ws_p = Mont.Wide.create key.p in
-    let ws_q = Mont.Wide.create key.q in
-    let fits t = em_bits <= 2 * Mont.Wide.k t * 28 in
-    if not (fits ws_p && fits ws_q) then None
-    else begin
-      let ws_scr_p = Mont.Wide.scratch ws_p in
-      Some
-        {
-          ws_p;
-          ws_scr_p;
-          ws_q;
-          ws_scr_q = Mont.Wide.scratch ws_q;
-          ws_qinv_m =
-            Mont.Wide.to_mont_limbs ws_p ws_scr_p
-              (Mont.Wide.limbs_of_bigint ws_p key.qinv);
-          ws_qlimbs = Mont.Wide.limbs_of_bigint ws_q key.q;
-          ws_m1 = Array.make (Mont.Wide.k ws_p) 0;
-          ws_m2 = Array.make (Mont.Wide.k ws_q) 0;
-        }
-    end
-  end
+(* Both CRT halves run at p's limb count.  At odd key widths q is one
+   bit shorter than p and can need a limb fewer, but the EMSA block is
+   as wide as n and must fit twice the limbs of each context it is
+   loaded into.  p has at least q's bit length, so q < 2p, which is
+   all the recombination needs. *)
+let make_sign_ctx key =
+  let sg_p = Mont.create key.p in
+  let limbs = Mont.limbs sg_p in
+  let sg_q = Mont.create ~limbs key.q in
+  let sg_scr_p = Mont.scratch sg_p in
+  {
+    sg_p;
+    sg_dp = Mont.schedule key.dp;
+    sg_scr_p;
+    sg_q;
+    sg_dq = Mont.schedule key.dq;
+    sg_scr_q = Mont.scratch sg_q;
+    sg_qinv_m = Mont.to_mont_limbs sg_p sg_scr_p (Mont.limbs_of_bigint sg_p key.qinv);
+    sg_qlimbs = Mont.limbs_of_bigint sg_q key.q;
+    sg_m1 = Array.make limbs 0;
+    sg_m2 = Array.make limbs 0;
+  }
 
 let sign_ctx key =
-  match (mont_p key, mont_q key) with
-  | Some sg_p, Some sg_q ->
-      let cache = Domain.DLS.get sign_ctxs in
-      Some
-        (Cache.find_or_add cache (B.to_bytes_be key.pub.n) (fun () ->
-             {
-               sg_p;
-               sg_dp = Mont.schedule key.dp;
-               sg_scr_p = Mont.scratch sg_p;
-               sg_q;
-               sg_dq = Mont.schedule key.dq;
-               sg_scr_q = Mont.scratch sg_q;
-               sg_wide = wide_sign_ctx key;
-             }))
-  | _ -> None
+  Cache.find_or_add (Domain.DLS.get sign_ctxs) (B.to_bytes_be key.pub.n) (fun () ->
+      make_sign_ctx key)
 
+let make_verify_ctx pub nbytes =
+  let vf_n = Mont.create pub.n in
+  {
+    vf_n;
+    vf_e = Mont.schedule pub.e;
+    vf_exp = pub.e;
+    vf_scr = Mont.scratch vf_n;
+    vf_nbytes = nbytes;
+    vf_m = Array.make (Mont.limbs vf_n) 0;
+  }
+
+(* A cached context serves only keys with its exponent: hostile DER
+   can pair a CA's modulus with another exponent, and that key gets a
+   context of its own rather than the cached one. *)
 let verify_ctx pub =
-  match mont_n pub with
-  | Some vf_n when B.sign pub.e >= 0 ->
-      let cache = Domain.DLS.get verify_ctxs in
-      Some
-        (Cache.find_or_add cache (B.to_bytes_be pub.n) (fun () ->
-             let vf_e = Mont.schedule pub.e in
-             let wt = Mont.Wide.create pub.n in
-             let nbytes = B.to_bytes_be pub.n in
-             let vf_wide =
-               if
-                 Mont.schedule_bits vf_e > 0
-                 && String.length nbytes * 8 <= 2 * Mont.Wide.k wt * 28
-               then Some (wt, Mont.Wide.scratch wt)
-               else None
-             in
-             {
-               vf_n;
-               vf_e;
-               vf_scr = Mont.scratch vf_n;
-               vf_wide;
-               vf_nbytes = nbytes;
-               vf_m = Array.make (Mont.Wide.k wt) 0;
-             }))
-  | _ -> None
+  let nbytes = B.to_bytes_be pub.n in
+  let vc =
+    Cache.find_or_add (Domain.DLS.get verify_ctxs) nbytes (fun () ->
+        make_verify_ctx pub nbytes)
+  in
+  if B.equal vc.vf_exp pub.e then vc else make_verify_ctx pub nbytes
 
-let public_op pub x =
-  match (if precompute_enabled () then verify_ctx pub else None) with
-  | Some vc -> Mont.powm_auto vc.vf_n vc.vf_scr vc.vf_e x
-  | None -> (
-      match mont_n pub with
-      | Some ctx -> Mont.modpow ctx x pub.e
-      | None -> B.modpow x pub.e pub.n)
+(* the moduli a Montgomery context accepts; keys parsed from hostile
+   DER can carry any other *)
+let plane_modulus n =
+  B.is_odd n && B.compare n B.one > 0 && B.bit_length n <= Mont.max_bits
 
 let f4 = B.of_int 65537
 
@@ -218,6 +138,7 @@ let c_short_modulus = Tangled_obs.Obs.counter "rsa.keygen_short_modulus"
 
 let generate ?(mr_rounds = 20) rng ~bits =
   if bits < 64 then invalid_arg "Rsa.generate: modulus below 64 bits";
+  if bits > Mont.max_bits then invalid_arg "Rsa.generate: modulus above 3528 bits";
   let pbits = (bits + 1) / 2 in
   let qbits = bits - pbits in
   let rec attempt () =
@@ -239,17 +160,7 @@ let generate ?(mr_rounds = 20) rng ~bits =
             let dq = B.erem d (B.sub q B.one) in
             (* p and q are distinct primes, so the inverse exists *)
             let qinv = Option.get (B.mod_inverse q p) in
-            {
-              pub = make_public ~n ~e;
-              d;
-              p;
-              q;
-              dp;
-              dq;
-              qinv;
-              mont_p = None;
-              mont_q = None;
-            }
+            { pub = make_public ~n ~e; d; p; q; dp; dq; qinv }
         | None -> attempt ()
       end
     end
@@ -300,87 +211,44 @@ let left_pad len s =
   end
 
 (* CRT private-key operation (RFC 8017 §5.1.2): two half-size
-   exponentiations instead of one full-size one, ~4x faster — each
-   through the cached per-prime Montgomery context. *)
-let private_op key m =
-  match (if precompute_enabled () then sign_ctx key else None) with
-  | Some sg ->
-      let m1 = Mont.powm_auto sg.sg_p sg.sg_scr_p sg.sg_dp m in
-      let m2 = Mont.powm_auto sg.sg_q sg.sg_scr_q sg.sg_dq m in
-      let h = B.erem (B.mul key.qinv (B.sub m1 m2)) key.p in
-      B.add m2 (B.mul h key.q)
-  | None ->
-      let half ctx_of dx px =
-        match ctx_of key with
-        | Some ctx -> Mont.modpow ctx m dx
-        | None -> B.modpow m dx px
-      in
-      let m1 = half mont_p key.dp key.p in
-      let m2 = half mont_q key.dq key.q in
-      let h = B.erem (B.mul key.qinv (B.sub m1 m2)) key.p in
-      B.add m2 (B.mul h key.q)
-
+   exponentiations instead of one full-size one, ~4x faster.  Bytes in,
+   bytes out: the signature buffer is the only allocation. *)
 let sign key ~digest msg =
   let k = key_size_bytes key.pub in
   let em = emsa_pkcs1_v1_5 ~digest msg k in
-  match
-    if precompute_enabled () && wide_enabled () then sign_ctx key else None
-  with
-  | Some { sg_dp; sg_dq; sg_wide = Some w; _ } ->
-      (* both CRT halves and the recombination stay on the wide plane:
-         bytes in, bytes out, the signature buffer is the only
-         allocation *)
-      Mont.Wide.load_base_bytes w.ws_p w.ws_scr_p em;
-      Mont.Wide.powm_auto_loaded w.ws_p w.ws_scr_p sg_dp ~dst:w.ws_m1;
-      Mont.Wide.load_base_bytes w.ws_q w.ws_scr_q em;
-      Mont.Wide.powm_auto_loaded w.ws_q w.ws_scr_q sg_dq ~dst:w.ws_m2;
-      let out = Bytes.create k in
-      Mont.Wide.crt_combine ~pctx:w.ws_p ~psc:w.ws_scr_p ~qinv_m:w.ws_qinv_m
-        ~qlimbs:w.ws_qlimbs ~m1:w.ws_m1 ~m2:w.ws_m2 ~out;
-      Bytes.unsafe_to_string out
-  | _ ->
-      let m = B.of_bytes_be em in
-      let s = private_op key m in
-      left_pad k (B.to_bytes_be s)
+  let sg = sign_ctx key in
+  Mont.load_base_bytes sg.sg_p sg.sg_scr_p em;
+  Mont.powm_loaded sg.sg_p sg.sg_scr_p sg.sg_dp ~dst:sg.sg_m1;
+  Mont.load_base_bytes sg.sg_q sg.sg_scr_q em;
+  Mont.powm_loaded sg.sg_q sg.sg_scr_q sg.sg_dq ~dst:sg.sg_m2;
+  let out = Bytes.create k in
+  Mont.crt_combine ~pctx:sg.sg_p ~psc:sg.sg_scr_p ~qinv_m:sg.sg_qinv_m
+    ~qlimbs:sg.sg_qlimbs ~m1:sg.sg_m1 ~m2:sg.sg_m2 ~out;
+  Bytes.unsafe_to_string out
+
+let emsa_matches ~digest msg em' =
+  match emsa_pkcs1_v1_5 ~digest msg (String.length em') with
+  | em -> String.equal em em'
+  | exception Invalid_argument _ -> false
 
 let verify pub ~digest ~msg ~signature =
   let k = key_size_bytes pub in
-  if String.length signature <> k then false
-  else begin
-    match
-      if precompute_enabled () && wide_enabled () then verify_ctx pub else None
-    with
-    | Some ({ vf_wide = Some (wt, wsc); _ } as vc) ->
-        (* equal-length big-endian strings compare like the integers
-           they encode, so the s < n range check needs no Bigint *)
-        if String.compare signature vc.vf_nbytes >= 0 then false
-        else begin
-          Mont.Wide.load_base_bytes wt wsc signature;
-          Mont.Wide.powm_auto_loaded wt wsc vc.vf_e ~dst:vc.vf_m;
-          let em' = Bytes.create k in
-          Mont.Wide.write_bytes_be vc.vf_m (Array.length vc.vf_m) em';
-          match emsa_pkcs1_v1_5 ~digest msg k with
-          | em -> String.equal em (Bytes.unsafe_to_string em')
-          | exception Invalid_argument _ -> false
-        end
-    | _ ->
-        let s = B.of_bytes_be signature in
-        if B.compare s pub.n >= 0 then false
-        else begin
-          let m = public_op pub s in
-          let em' = left_pad k (B.to_bytes_be m) in
-          match emsa_pkcs1_v1_5 ~digest msg k with
-          | em -> String.equal em em'
-          | exception Invalid_argument _ -> false
-        end
+  if String.length signature <> k || B.sign pub.e <= 0 then false
+  else if plane_modulus pub.n then begin
+    let vc = verify_ctx pub in
+    (* equal-length big-endian strings compare like the integers they
+       encode, so the s < n range check needs no Bigint *)
+    String.compare signature vc.vf_nbytes < 0
+    && begin
+         Mont.load_base_bytes vc.vf_n vc.vf_scr signature;
+         Mont.powm_loaded vc.vf_n vc.vf_scr vc.vf_e ~dst:vc.vf_m;
+         let em' = Bytes.create k in
+         Mont.write_bytes_be vc.vf_m (Array.length vc.vf_m) em';
+         emsa_matches ~digest msg (Bytes.unsafe_to_string em')
+       end
   end
-
-let encrypt_raw pub data =
-  let m = B.of_bytes_be data in
-  if B.compare m pub.n >= 0 then invalid_arg "Rsa.encrypt_raw: message too large";
-  B.to_bytes_be (public_op pub m)
-
-let decrypt_raw key data =
-  let c = B.of_bytes_be data in
-  if B.compare c key.pub.n >= 0 then invalid_arg "Rsa.decrypt_raw: ciphertext too large";
-  B.to_bytes_be (private_op key c)
+  else begin
+    let s = B.of_bytes_be signature in
+    B.compare s pub.n < 0
+    && emsa_matches ~digest msg (left_pad k (B.to_bytes_be (B.modpow s pub.e pub.n)))
+  end

@@ -1,73 +1,82 @@
-(* Montgomery-form modular arithmetic on Bigint's 26-bit limbs.
+(* Montgomery-form modular exponentiation on 28-bit limbs.
 
-   The legacy Bigint.modpow pays a full Knuth division per square or
-   multiply.  A Montgomery context trades that for division-free
-   product-scanning (FIPS) reductions: each output column accumulates
-   all of its partial products — a_j·b_{i-j} and mu_j·m_{i-j} — into a
-   single native-int accumulator with one multiply-add per product,
-   then spends one shift and one store for the whole column.  The
-   quotient digit mu_i falls out of the column sum as it completes, so
-   multiplication and reduction fuse into one pass with no
-   intermediate 2k-limb product.
+   The division-based Bigint.modpow pays a full Knuth division per
+   square or multiply.  A Montgomery context trades that for
+   division-free product-scanning (FIPS) reductions: each output
+   column accumulates all of its partial products — a_j·b_{i-j} and
+   mu_j·n_{i-j} — into a single native-int accumulator with one
+   multiply-add per product, then spends one shift and one store for
+   the whole column.  The quotient digit mu_i falls out of the column
+   sum as it completes, so multiplication and reduction fuse into one
+   pass with no intermediate 2k-limb product.
 
-   Word size is the bignum's 26-bit limb: a partial product is below
-   2^52, so a column of 2k of them plus the inter-column carry stays
-   below 2^(52 + log2 2k) — for any modulus this simulation can reach
-   (k ≤ 500 limbs, i.e. 13 000 bits) that is inside OCaml's 63-bit
-   native int, and the inner loops are pure int arithmetic.
+   Bigint keeps 26-bit limbs because its schoolbook division needs two
+   spare bits.  Montgomery arithmetic never divides, so operands are
+   repacked into 28-bit limbs: a 192-bit RSA-CRT half is 7 limbs
+   instead of 8, and a partial product stays below 2^56.  (A 31-bit
+   packing needs split lo/hi column accumulators and measured ~35 %
+   slower; see DESIGN.md section 8.)
 
-   Squaring gets a dedicated kernel: the operand half of each column
-   is symmetric (a_j·a_{i-j} = a_{i-j}·a_j), so it sums each pair once
-   and doubles, cutting that half's multiplies from k² to ~k²/2.
-   Fixed-window exponentiation is ~80 % squarings, so this is the
-   single biggest lever on modpow latency.
+   Column bound.  The kernels only add, multiply, mask and shift right
+   logically, so a column sum is exact as long as it stays below 2^63
+   read as an unsigned number: the wrap of OCaml's signed 63-bit int
+   past 2^62 never reaches a comparison.  A column sums at most 2k
+   products below 2^56 plus a carry below 2^36, which is below 2^63
+   for k <= 63 ({!integrated_max_k}).  Above that the kernels fold
+   each column into a carry word once, between the a·b half and the
+   reduction half, so each half sums at most k products: sound up to
+   126 limbs ({!max_limbs}, 3 528 bits), the widest modulus {!create}
+   accepts.
 
-   Two layers sit on the kernels:
+   Squaring gets a dedicated kernel: the operand half of each column is
+   symmetric (a_j·a_{i-j} = a_{i-j}·a_j), so it sums each pair once and
+   doubles.  Fixed-window exponentiation is ~80 % squarings.  CRT halves
+   of 384-bit keys (k = 7, the Notary corpus default) run fully
+   unrolled straight-line kernels whose operands live in registers.
 
-   - {!modpow}: the original allocating fixed-window walk, kept
-     bit-for-bit and cost-for-cost as the reference ("before") path —
-     the QCheck suite cross-checks it against Bigint.modpow, and the
-     bench before/after pairs measure the precompute layers against
-     it.
-   - {!powm} and friends: the precompute path.  A {!schedule} hoists
-     the exponent's window digits out of the loop (computed once per
-     key, cached by lib/cache users), a {!scratch} preallocates every
-     buffer an exponentiation needs so the steady state allocates
-     nothing, and 384-bit CRT halves (k = 8, the Notary default)
-     dispatch to fully unrolled straight-line kernels whose operands
-     live in registers.  {!powm_sparse} skips the window table
-     entirely for low-weight exponents (e = 65537 pays 16 squarings
-     and one multiply instead of a 14-multiply table build), and
-     {!Fixed_base} stores per-window digit tables of a repeated base
-     so exponentiation degenerates to ~bits/4 multiplies with no
-     squarings at all. *)
+   A {!schedule} hoists an exponent's window digits out of the loop
+   (once per key), and a {!scratch} preallocates every buffer an
+   exponentiation needs, so between the message bytes going in and the
+   signature bytes coming out the byte-level walks the RSA hot paths
+   use allocate only their exponent-width observations. *)
 
 module B = Bigint
 
-(* exponent-width distribution of every Montgomery exponentiation —
-   one observation per modpow, negligible next to the k²-limb kernels
-   it precedes *)
+(* exponent-width distribution of every exponentiation — one
+   observation per walk, negligible next to the k²-limb kernels it
+   precedes *)
 let modpow_bits =
   Tangled_obs.Obs.histogram
     ~buckets:[| 64.0; 128.0; 256.0; 384.0; 512.0; 768.0; 1024.0; 2048.0; 4096.0 |]
     "montgomery.modpow_bits"
 
-let limb_bits = B.Internal.limb_bits
-let base = 1 lsl limb_bits
-let limb_mask = base - 1
+let wbits = 28
+let wbase = 1 lsl wbits
+let wmask = wbase - 1
+
+let integrated_max_k = 63
+let max_limbs = 2 * integrated_max_k
+let max_bits = max_limbs * wbits
 
 type t = {
-  modulus : B.t;  (* for boundary reductions of operands *)
-  mm : int array; (* modulus magnitude, exactly k limbs *)
+  modulus : B.t;
+  n : int array;   (* modulus, k 28-bit limbs *)
   k : int;
-  m0' : int;      (* -modulus^{-1} mod 2^limb_bits *)
-  r2 : int array; (* R² mod m — carries values into Montgomery form *)
-  one_m : int array; (* R mod m — Montgomery form of 1 *)
+  n0' : int;       (* -modulus^{-1} mod 2^28 *)
+  r2 : int array;  (* R^2 mod m, R = 2^(28k): Montgomery entry of a k-limb value *)
+  r3 : int array;  (* R^3 mod m: entry of a 2k-limb value after one REDC *)
+  one : int array; (* R mod m, Montgomery form of 1 *)
 }
 
-(* r[0..j] >= n[0..j] limb-wise?  Top-level (not a local closure): the
-   native compiler has no flambda here, and a closure inside a kernel
-   allocates on every single modular product. *)
+let limbs t = t.k
+
+(* --- limb arithmetic ---------------------------------------------------
+
+   Top-level functions with explicit arguments, never local closures:
+   this tree compiles without flambda, so a closure inside a kernel
+   allocates on every modular product. *)
+
+(* r[0..j] >= n[0..j] limb-wise? *)
 let rec ge_from r n j =
   if j < 0 then true
   else begin
@@ -75,32 +84,36 @@ let rec ge_from r n j =
     if rj <> nj then rj > nj else ge_from r n (j - 1)
   end
 
-(* Both kernels leave a k-limb result plus a high unit such that
-   r + high·2^(26k) < 2m; one conditional subtraction reduces fully
-   (any final borrow cancels against the high unit). *)
-let reduce_final ~mm ~k r high =
-  let ge = high <> 0 || ge_from r mm (k - 1) in
-  if ge then begin
-    let borrow = ref 0 in
-    for j = 0 to k - 1 do
-      let d = r.(j) - mm.(j) - !borrow in
-      if d < 0 then begin
-        r.(j) <- d + base;
-        borrow := 1
-      end
-      else begin
-        r.(j) <- d;
-        borrow := 0
-      end
-    done
-  end
+(* dst := x - y over k limbs; returns the final borrow *)
+let sub_limbs ~k ~dst x y =
+  let borrow = ref 0 in
+  for j = 0 to k - 1 do
+    let d = Array.unsafe_get x j - Array.unsafe_get y j - !borrow in
+    if d < 0 then begin
+      Array.unsafe_set dst j (d + wbase);
+      borrow := 1
+    end
+    else begin
+      Array.unsafe_set dst j d;
+      borrow := 0
+    end
+  done;
+  !borrow
 
-(* dst := a·b·R^{-1} mod m by finely-integrated product scanning; both
-   inputs k limbs, result k limbs, fully reduced below m.  [mu] is a
-   k-limb scratch row; [dst] must not alias [mu] (aliasing a or b is
-   harmless — dst.(j) is only written once columns past j stop reading
-   a.(j)/b.(j), but callers keep them distinct anyway). *)
-let mont_mul_into ~mm ~k ~m0' ~mu ~dst a b =
+(* The kernels and REDC leave a k-limb result plus a high unit such
+   that r + high·R < 2m; one conditional subtraction reduces fully
+   (any final borrow cancels against the high unit). *)
+let reduce_final ~n ~k r high =
+  if high <> 0 || ge_from r n (k - 1) then ignore (sub_limbs ~k ~dst:r r n : int)
+
+(* --- fused product-scanning kernels ------------------------------------
+
+   dst := a·b·R^{-1} mod m; inputs k limbs with a·b < R·m, result k
+   limbs fully reduced below m.  [mu] is a k-limb scratch row; [dst]
+   must not alias [mu].  These two run at k <= 63, where a whole
+   column fits one accumulator. *)
+
+let mont_mul_into ~n ~k ~n0' ~mu ~dst a b =
   let acc = ref 0 in
   (* low columns 0..k-1: the column sum fixes mu_i, which zeroes it *)
   for i = 0 to k - 1 do
@@ -109,11 +122,11 @@ let mont_mul_into ~mm ~k ~m0' ~mu ~dst a b =
       s := !s + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
     done;
     for j = 0 to i - 1 do
-      s := !s + (Array.unsafe_get mu j * Array.unsafe_get mm (i - j))
+      s := !s + (Array.unsafe_get mu j * Array.unsafe_get n (i - j))
     done;
-    let mi = !s * m0' land limb_mask in
+    let mi = !s * n0' land wmask in
     Array.unsafe_set mu i mi;
-    acc := (!s + (mi * Array.unsafe_get mm 0)) lsr limb_bits
+    acc := (!s + (mi * Array.unsafe_get n 0)) lsr wbits
   done;
   (* high columns k..2k-1 land directly in the shifted result *)
   for i = k to (2 * k) - 1 do
@@ -122,18 +135,18 @@ let mont_mul_into ~mm ~k ~m0' ~mu ~dst a b =
       s :=
         !s
         + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
-        + (Array.unsafe_get mu j * Array.unsafe_get mm (i - j))
+        + (Array.unsafe_get mu j * Array.unsafe_get n (i - j))
     done;
-    Array.unsafe_set dst (i - k) (!s land limb_mask);
-    acc := !s lsr limb_bits
+    Array.unsafe_set dst (i - k) (!s land wmask);
+    acc := !s lsr wbits
   done;
-  reduce_final ~mm ~k dst !acc
+  reduce_final ~n ~k dst !acc
 
 (* dst := a²·R^{-1} mod m — as mont_mul with b = a, but each symmetric
    pair a_j·a_{i-j} (j < i-j) is computed once and doubled; the
-   diagonal a_{i/2}² joins even columns undoubled.  The mu·m half has
+   diagonal a_{i/2}² joins even columns undoubled.  The mu·n half has
    no symmetry and stays a full scan. *)
-let mont_sqr_into ~mm ~k ~m0' ~mu ~dst a =
+let mont_sqr_into ~n ~k ~n0' ~mu ~dst a =
   let acc = ref 0 in
   for i = 0 to k - 1 do
     (* (i-1) asr 1 is -1 at i=0, keeping the pair loop empty there *)
@@ -148,11 +161,11 @@ let mont_sqr_into ~mm ~k ~m0' ~mu ~dst a =
       s := !s + (d * d)
     end;
     for j = 0 to i - 1 do
-      s := !s + (Array.unsafe_get mu j * Array.unsafe_get mm (i - j))
+      s := !s + (Array.unsafe_get mu j * Array.unsafe_get n (i - j))
     done;
-    let mi = !s * m0' land limb_mask in
+    let mi = !s * n0' land wmask in
     Array.unsafe_set mu i mi;
-    acc := (!s + (mi * Array.unsafe_get mm 0)) lsr limb_bits
+    acc := (!s + (mi * Array.unsafe_get n 0)) lsr wbits
   done;
   for i = k to (2 * k) - 1 do
     let lo = i - k + 1 in
@@ -167,248 +180,306 @@ let mont_sqr_into ~mm ~k ~m0' ~mu ~dst a =
       s := !s + (d * d)
     end;
     for j = lo to k - 1 do
-      s := !s + (Array.unsafe_get mu j * Array.unsafe_get mm (i - j))
+      s := !s + (Array.unsafe_get mu j * Array.unsafe_get n (i - j))
     done;
-    Array.unsafe_set dst (i - k) (!s land limb_mask);
-    acc := !s lsr limb_bits
+    Array.unsafe_set dst (i - k) (!s land wmask);
+    acc := !s lsr wbits
   done;
-  reduce_final ~mm ~k dst !acc
+  reduce_final ~n ~k dst !acc
 
-(* allocating wrappers — the shape the original modpow (and create)
-   was written against; kept as the reference-path primitives *)
-let mont_mul ~mm ~k ~m0' a b =
-  let mu = Array.make k 0 in
-  let r = Array.make k 0 in
-  mont_mul_into ~mm ~k ~m0' ~mu ~dst:r a b;
-  r
+(* --- folding kernels for 63 < k <= 126 -----------------------------------
 
-let mont_sqr ~mm ~k ~m0' a =
-  let mu = Array.make k 0 in
-  let r = Array.make k 0 in
-  mont_sqr_into ~mm ~k ~m0' ~mu ~dst:r a;
-  r
+   The same column scan, but each column folds into a carry word once,
+   between its a·b half and its reduction half, so neither half sums
+   more than k products.  Where it is not needed the fold only costs:
+   fold-capable versions of the pair above measured 4-30 % slower
+   multiplies at k = 8-63, so narrower moduli keep that pair.
 
-(* --- fully unrolled kernels for k = 8 (384-bit CRT halves) ----------
+   [fold_column] is one column's reduction half: [s] holds the a·b
+   half plus the carry in, and the carry out is returned. *)
+
+let fold_column ~n ~k ~n0' ~mu ~dst i s =
+  let c = s lsr wbits in
+  let s = ref (s land wmask) in
+  if i < k then begin
+    for j = 0 to i - 1 do
+      s := !s + (Array.unsafe_get mu j * Array.unsafe_get n (i - j))
+    done;
+    let mi = !s * n0' land wmask in
+    Array.unsafe_set mu i mi;
+    c + ((!s + (mi * Array.unsafe_get n 0)) lsr wbits)
+  end
+  else begin
+    for j = i - k + 1 to k - 1 do
+      s := !s + (Array.unsafe_get mu j * Array.unsafe_get n (i - j))
+    done;
+    Array.unsafe_set dst (i - k) (!s land wmask);
+    c + (!s lsr wbits)
+  end
+
+let mont_mul_fold ~n ~k ~n0' ~mu ~dst a b =
+  let acc = ref 0 in
+  for i = 0 to (2 * k) - 1 do
+    let s = ref !acc in
+    for j = (if i < k then 0 else i - k + 1) to (if i < k then i else k - 1) do
+      s := !s + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+    done;
+    acc := fold_column ~n ~k ~n0' ~mu ~dst i !s
+  done;
+  reduce_final ~n ~k dst !acc
+
+(* the diagonal term joins every even column: i/2 always lies in the
+   column's operand range *)
+let mont_sqr_fold ~n ~k ~n0' ~mu ~dst a =
+  let acc = ref 0 in
+  for i = 0 to (2 * k) - 1 do
+    let p = ref 0 in
+    for j = (if i < k then 0 else i - k + 1) to (i - 1) asr 1 do
+      p := !p + (Array.unsafe_get a j * Array.unsafe_get a (i - j))
+    done;
+    let s = !acc + (!p lsl 1) in
+    let d = if i land 1 = 0 then Array.unsafe_get a (i asr 1) else 0 in
+    acc := fold_column ~n ~k ~n0' ~mu ~dst i (s + (d * d))
+  done;
+  reduce_final ~n ~k dst !acc
+
+(* --- fully unrolled k = 7 kernels (384-bit CRT halves) --------------------
 
    A 384-bit RSA key — the Notary corpus default — signs through two
-   192-bit moduli of exactly eight 26-bit limbs.  At that width the
+   192-bit moduli of exactly seven 28-bit limbs.  At that width the
    generic loops spend as much on indexing and carried refs as on the
    multiplies, so the two kernels below are written out straight-line
    with every operand in a named local: the compiler keeps them in
-   registers and the madd chain is pure int arithmetic.  Measured on
-   the scale path this takes a CRT half from ~50 µs to ~29 µs. *)
+   registers, a multiply is 105 products, and the squaring's doubled
+   pairs are a single shift. *)
 
-let mont_mul8 ~mm ~m0' ~dst a b =
+let mont_mul7 ~n ~n0' ~dst a b =
   let a0 = Array.unsafe_get a 0 and a1 = Array.unsafe_get a 1
   and a2 = Array.unsafe_get a 2 and a3 = Array.unsafe_get a 3
   and a4 = Array.unsafe_get a 4 and a5 = Array.unsafe_get a 5
-  and a6 = Array.unsafe_get a 6 and a7 = Array.unsafe_get a 7 in
+  and a6 = Array.unsafe_get a 6 in
   let b0 = Array.unsafe_get b 0 and b1 = Array.unsafe_get b 1
   and b2 = Array.unsafe_get b 2 and b3 = Array.unsafe_get b 3
   and b4 = Array.unsafe_get b 4 and b5 = Array.unsafe_get b 5
-  and b6 = Array.unsafe_get b 6 and b7 = Array.unsafe_get b 7 in
-  let n0 = Array.unsafe_get mm 0 and n1 = Array.unsafe_get mm 1
-  and n2 = Array.unsafe_get mm 2 and n3 = Array.unsafe_get mm 3
-  and n4 = Array.unsafe_get mm 4 and n5 = Array.unsafe_get mm 5
-  and n6 = Array.unsafe_get mm 6 and n7 = Array.unsafe_get mm 7 in
+  and b6 = Array.unsafe_get b 6 in
+  let n0 = Array.unsafe_get n 0 and n1 = Array.unsafe_get n 1
+  and n2 = Array.unsafe_get n 2 and n3 = Array.unsafe_get n 3
+  and n4 = Array.unsafe_get n 4 and n5 = Array.unsafe_get n 5
+  and n6 = Array.unsafe_get n 6 in
   let s = a0*b0 in
-  let u0 = s * m0' land limb_mask in
-  let acc = (s + u0*n0) lsr limb_bits in
+  let u0 = s * n0' land wmask in
+  let acc = (s + u0*n0) lsr wbits in
   let s = acc + a0*b1 + a1*b0 + u0*n1 in
-  let u1 = s * m0' land limb_mask in
-  let acc = (s + u1*n0) lsr limb_bits in
+  let u1 = s * n0' land wmask in
+  let acc = (s + u1*n0) lsr wbits in
   let s = acc + a0*b2 + a1*b1 + a2*b0 + u0*n2 + u1*n1 in
-  let u2 = s * m0' land limb_mask in
-  let acc = (s + u2*n0) lsr limb_bits in
+  let u2 = s * n0' land wmask in
+  let acc = (s + u2*n0) lsr wbits in
   let s = acc + a0*b3 + a1*b2 + a2*b1 + a3*b0 + u0*n3 + u1*n2 + u2*n1 in
-  let u3 = s * m0' land limb_mask in
-  let acc = (s + u3*n0) lsr limb_bits in
+  let u3 = s * n0' land wmask in
+  let acc = (s + u3*n0) lsr wbits in
   let s = acc + a0*b4 + a1*b3 + a2*b2 + a3*b1 + a4*b0
           + u0*n4 + u1*n3 + u2*n2 + u3*n1 in
-  let u4 = s * m0' land limb_mask in
-  let acc = (s + u4*n0) lsr limb_bits in
+  let u4 = s * n0' land wmask in
+  let acc = (s + u4*n0) lsr wbits in
   let s = acc + a0*b5 + a1*b4 + a2*b3 + a3*b2 + a4*b1 + a5*b0
           + u0*n5 + u1*n4 + u2*n3 + u3*n2 + u4*n1 in
-  let u5 = s * m0' land limb_mask in
-  let acc = (s + u5*n0) lsr limb_bits in
+  let u5 = s * n0' land wmask in
+  let acc = (s + u5*n0) lsr wbits in
   let s = acc + a0*b6 + a1*b5 + a2*b4 + a3*b3 + a4*b2 + a5*b1 + a6*b0
           + u0*n6 + u1*n5 + u2*n4 + u3*n3 + u4*n2 + u5*n1 in
-  let u6 = s * m0' land limb_mask in
-  let acc = (s + u6*n0) lsr limb_bits in
-  let s = acc + a0*b7 + a1*b6 + a2*b5 + a3*b4 + a4*b3 + a5*b2 + a6*b1 + a7*b0
-          + u0*n7 + u1*n6 + u2*n5 + u3*n4 + u4*n3 + u5*n2 + u6*n1 in
-  let u7 = s * m0' land limb_mask in
-  let acc = (s + u7*n0) lsr limb_bits in
-  let s = acc + a1*b7 + a2*b6 + a3*b5 + a4*b4 + a5*b3 + a6*b2 + a7*b1
-          + u1*n7 + u2*n6 + u3*n5 + u4*n4 + u5*n3 + u6*n2 + u7*n1 in
-  Array.unsafe_set dst 0 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + a2*b7 + a3*b6 + a4*b5 + a5*b4 + a6*b3 + a7*b2
-          + u2*n7 + u3*n6 + u4*n5 + u5*n4 + u6*n3 + u7*n2 in
-  Array.unsafe_set dst 1 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + a3*b7 + a4*b6 + a5*b5 + a6*b4 + a7*b3
-          + u3*n7 + u4*n6 + u5*n5 + u6*n4 + u7*n3 in
-  Array.unsafe_set dst 2 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + a4*b7 + a5*b6 + a6*b5 + a7*b4 + u4*n7 + u5*n6 + u6*n5 + u7*n4 in
-  Array.unsafe_set dst 3 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + a5*b7 + a6*b6 + a7*b5 + u5*n7 + u6*n6 + u7*n5 in
-  Array.unsafe_set dst 4 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + a6*b7 + a7*b6 + u6*n7 + u7*n6 in
-  Array.unsafe_set dst 5 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + a7*b7 + u7*n7 in
-  Array.unsafe_set dst 6 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  Array.unsafe_set dst 7 (acc land limb_mask);
-  reduce_final ~mm ~k:8 dst (acc lsr limb_bits)
+  let u6 = s * n0' land wmask in
+  let acc = (s + u6*n0) lsr wbits in
+  let s = acc + a1*b6 + a2*b5 + a3*b4 + a4*b3 + a5*b2 + a6*b1
+          + u1*n6 + u2*n5 + u3*n4 + u4*n3 + u5*n2 + u6*n1 in
+  Array.unsafe_set dst 0 (s land wmask);
+  let acc = s lsr wbits in
+  let s = acc + a2*b6 + a3*b5 + a4*b4 + a5*b3 + a6*b2
+          + u2*n6 + u3*n5 + u4*n4 + u5*n3 + u6*n2 in
+  Array.unsafe_set dst 1 (s land wmask);
+  let acc = s lsr wbits in
+  let s = acc + a3*b6 + a4*b5 + a5*b4 + a6*b3 + u3*n6 + u4*n5 + u5*n4 + u6*n3 in
+  Array.unsafe_set dst 2 (s land wmask);
+  let acc = s lsr wbits in
+  let s = acc + a4*b6 + a5*b5 + a6*b4 + u4*n6 + u5*n5 + u6*n4 in
+  Array.unsafe_set dst 3 (s land wmask);
+  let acc = s lsr wbits in
+  let s = acc + a5*b6 + a6*b5 + u5*n6 + u6*n5 in
+  Array.unsafe_set dst 4 (s land wmask);
+  let acc = s lsr wbits in
+  let s = acc + a6*b6 + u6*n6 in
+  Array.unsafe_set dst 5 (s land wmask);
+  let acc = s lsr wbits in
+  Array.unsafe_set dst 6 (acc land wmask);
+  reduce_final ~n ~k:7 dst (acc lsr wbits)
 
-let mont_sqr8 ~mm ~m0' ~dst a =
+let mont_sqr7 ~n ~n0' ~dst a =
   let a0 = Array.unsafe_get a 0 and a1 = Array.unsafe_get a 1
   and a2 = Array.unsafe_get a 2 and a3 = Array.unsafe_get a 3
   and a4 = Array.unsafe_get a 4 and a5 = Array.unsafe_get a 5
-  and a6 = Array.unsafe_get a 6 and a7 = Array.unsafe_get a 7 in
-  let n0 = Array.unsafe_get mm 0 and n1 = Array.unsafe_get mm 1
-  and n2 = Array.unsafe_get mm 2 and n3 = Array.unsafe_get mm 3
-  and n4 = Array.unsafe_get mm 4 and n5 = Array.unsafe_get mm 5
-  and n6 = Array.unsafe_get mm 6 and n7 = Array.unsafe_get mm 7 in
+  and a6 = Array.unsafe_get a 6 in
+  let n0 = Array.unsafe_get n 0 and n1 = Array.unsafe_get n 1
+  and n2 = Array.unsafe_get n 2 and n3 = Array.unsafe_get n 3
+  and n4 = Array.unsafe_get n 4 and n5 = Array.unsafe_get n 5
+  and n6 = Array.unsafe_get n 6 in
   let s = a0*a0 in
-  let u0 = s * m0' land limb_mask in
-  let acc = (s + u0*n0) lsr limb_bits in
+  let u0 = s * n0' land wmask in
+  let acc = (s + u0*n0) lsr wbits in
   let s = acc + ((a0*a1) lsl 1) + u0*n1 in
-  let u1 = s * m0' land limb_mask in
-  let acc = (s + u1*n0) lsr limb_bits in
+  let u1 = s * n0' land wmask in
+  let acc = (s + u1*n0) lsr wbits in
   let s = acc + ((a0*a2) lsl 1) + a1*a1 + u0*n2 + u1*n1 in
-  let u2 = s * m0' land limb_mask in
-  let acc = (s + u2*n0) lsr limb_bits in
+  let u2 = s * n0' land wmask in
+  let acc = (s + u2*n0) lsr wbits in
   let s = acc + ((a0*a3 + a1*a2) lsl 1) + u0*n3 + u1*n2 + u2*n1 in
-  let u3 = s * m0' land limb_mask in
-  let acc = (s + u3*n0) lsr limb_bits in
+  let u3 = s * n0' land wmask in
+  let acc = (s + u3*n0) lsr wbits in
   let s = acc + ((a0*a4 + a1*a3) lsl 1) + a2*a2 + u0*n4 + u1*n3 + u2*n2 + u3*n1 in
-  let u4 = s * m0' land limb_mask in
-  let acc = (s + u4*n0) lsr limb_bits in
+  let u4 = s * n0' land wmask in
+  let acc = (s + u4*n0) lsr wbits in
   let s = acc + ((a0*a5 + a1*a4 + a2*a3) lsl 1)
           + u0*n5 + u1*n4 + u2*n3 + u3*n2 + u4*n1 in
-  let u5 = s * m0' land limb_mask in
-  let acc = (s + u5*n0) lsr limb_bits in
+  let u5 = s * n0' land wmask in
+  let acc = (s + u5*n0) lsr wbits in
   let s = acc + ((a0*a6 + a1*a5 + a2*a4) lsl 1) + a3*a3
           + u0*n6 + u1*n5 + u2*n4 + u3*n3 + u4*n2 + u5*n1 in
-  let u6 = s * m0' land limb_mask in
-  let acc = (s + u6*n0) lsr limb_bits in
-  let s = acc + ((a0*a7 + a1*a6 + a2*a5 + a3*a4) lsl 1)
-          + u0*n7 + u1*n6 + u2*n5 + u3*n4 + u4*n3 + u5*n2 + u6*n1 in
-  let u7 = s * m0' land limb_mask in
-  let acc = (s + u7*n0) lsr limb_bits in
-  let s = acc + ((a1*a7 + a2*a6 + a3*a5) lsl 1) + a4*a4
-          + u1*n7 + u2*n6 + u3*n5 + u4*n4 + u5*n3 + u6*n2 + u7*n1 in
-  Array.unsafe_set dst 0 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + ((a2*a7 + a3*a6 + a4*a5) lsl 1)
-          + u2*n7 + u3*n6 + u4*n5 + u5*n4 + u6*n3 + u7*n2 in
-  Array.unsafe_set dst 1 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + ((a3*a7 + a4*a6) lsl 1) + a5*a5
-          + u3*n7 + u4*n6 + u5*n5 + u6*n4 + u7*n3 in
-  Array.unsafe_set dst 2 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + ((a4*a7 + a5*a6) lsl 1) + u4*n7 + u5*n6 + u6*n5 + u7*n4 in
-  Array.unsafe_set dst 3 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + ((a5*a7) lsl 1) + a6*a6 + u5*n7 + u6*n6 + u7*n5 in
-  Array.unsafe_set dst 4 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + ((a6*a7) lsl 1) + u6*n7 + u7*n6 in
-  Array.unsafe_set dst 5 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  let s = acc + a7*a7 + u7*n7 in
-  Array.unsafe_set dst 6 (s land limb_mask);
-  let acc = s lsr limb_bits in
-  Array.unsafe_set dst 7 (acc land limb_mask);
-  reduce_final ~mm ~k:8 dst (acc lsr limb_bits)
+  let u6 = s * n0' land wmask in
+  let acc = (s + u6*n0) lsr wbits in
+  let s = acc + ((a1*a6 + a2*a5 + a3*a4) lsl 1)
+          + u1*n6 + u2*n5 + u3*n4 + u4*n3 + u5*n2 + u6*n1 in
+  Array.unsafe_set dst 0 (s land wmask);
+  let acc = s lsr wbits in
+  let s = acc + ((a2*a6 + a3*a5) lsl 1) + a4*a4
+          + u2*n6 + u3*n5 + u4*n4 + u5*n3 + u6*n2 in
+  Array.unsafe_set dst 1 (s land wmask);
+  let acc = s lsr wbits in
+  let s = acc + ((a3*a6 + a4*a5) lsl 1) + u3*n6 + u4*n5 + u5*n4 + u6*n3 in
+  Array.unsafe_set dst 2 (s land wmask);
+  let acc = s lsr wbits in
+  let s = acc + ((a4*a6) lsl 1) + a5*a5 + u4*n6 + u5*n5 + u6*n4 in
+  Array.unsafe_set dst 3 (s land wmask);
+  let acc = s lsr wbits in
+  let s = acc + ((a5*a6) lsl 1) + u5*n6 + u6*n5 in
+  Array.unsafe_set dst 4 (s land wmask);
+  let acc = s lsr wbits in
+  let s = acc + a6*a6 + u6*n6 in
+  Array.unsafe_set dst 5 (s land wmask);
+  let acc = s lsr wbits in
+  Array.unsafe_set dst 6 (acc land wmask);
+  reduce_final ~n ~k:7 dst (acc lsr wbits)
 
-let pad k a =
+(* --- word-by-word REDC ----------------------------------------------------
+
+   Reduces the value in [t] (2k+1 limbs, destroyed; limb 2k must be
+   zero on entry) to t·R^{-1} mod m in the k limbs of [dst].  Row sums
+   are t_i + u·n_j + c < 2^57 at any width.  For t < R·m the result is
+   fully reduced; for any t < R² it is below R, a valid kernel input.
+   The carry out of the top row lands in limb 2k: when the modulus
+   fills its top limb (m > R/2) the result can reach [R, 2m), so that
+   limb joins the final subtraction as the kernels' high unit. *)
+let redc ~n ~k ~n0' ~dst t =
+  for i = 0 to k - 1 do
+    let u = Array.unsafe_get t i * n0' land wmask in
+    let c = ref 0 in
+    for j = 0 to k - 1 do
+      let x = Array.unsafe_get t (i + j) + (u * Array.unsafe_get n j) + !c in
+      Array.unsafe_set t (i + j) (x land wmask);
+      c := x lsr wbits
+    done;
+    let idx = ref (i + k) in
+    while !c <> 0 do
+      let x = Array.unsafe_get t !idx + !c in
+      Array.unsafe_set t !idx (x land wmask);
+      c := x lsr wbits;
+      incr idx
+    done
+  done;
+  Array.blit t k dst 0 k;
+  reduce_final ~n ~k dst (Array.unsafe_get t (2 * k))
+
+(* --- packing ---------------------------------------------------------------- *)
+
+(* big-endian bytes -> 28-bit limbs, low limb first; [dst] is
+   overwritten completely and bits past its last limb are dropped *)
+let pack_bytes_be s dst =
+  Array.fill dst 0 (Array.length dst) 0;
+  let nl = Array.length dst in
+  let len = String.length s in
+  for idx = 0 to len - 1 do
+    let v = Char.code (String.unsafe_get s idx) in
+    let bit = (len - 1 - idx) * 8 in
+    let limb = bit / wbits and off = bit mod wbits in
+    if limb < nl then begin
+      dst.(limb) <- dst.(limb) lor ((v lsl off) land wmask);
+      if off > wbits - 8 && limb + 1 < nl then
+        dst.(limb + 1) <- dst.(limb + 1) lor (v lsr (wbits - off))
+    end
+  done
+
+(* 28-bit limbs -> big-endian bytes filling [dst] exactly; limb
+   content above 8*len bits must be zero (the caller guarantees the
+   value fits) *)
+let write_bytes_be limbs nlimbs dst =
+  let len = Bytes.length dst in
+  for idx = 0 to len - 1 do
+    let bit = (len - 1 - idx) * 8 in
+    let limb = bit / wbits and off = bit mod wbits in
+    let v =
+      if limb >= nlimbs then 0
+      else begin
+        let v = Array.unsafe_get limbs limb lsr off in
+        if off > wbits - 8 && limb + 1 < nlimbs then
+          v lor (Array.unsafe_get limbs (limb + 1) lsl (wbits - off))
+        else v
+      end
+    in
+    Bytes.unsafe_set dst idx (Char.unsafe_chr (v land 0xff))
+  done
+
+let pack ~k x =
   let r = Array.make k 0 in
-  Array.blit a 0 r 0 (Array.length a);
+  pack_bytes_be (B.to_bytes_be x) r;
   r
 
-let create m =
+let unpack limbs =
+  let k = Array.length limbs in
+  let out = Bytes.create (((k * wbits) + 7) / 8) in
+  write_bytes_be limbs k out;
+  B.of_bytes_be (Bytes.unsafe_to_string out)
+
+(* --- context ------------------------------------------------------------------ *)
+
+let create ?limbs m =
   if B.sign m <= 0 then invalid_arg "Montgomery.create: modulus must be positive";
   if B.compare m B.one <= 0 then invalid_arg "Montgomery.create: modulus must exceed 1";
   if not (B.is_odd m) then invalid_arg "Montgomery.create: modulus must be odd";
-  let mm = B.Internal.mag m in
-  let k = Array.length mm in
-  (* limb-wise inverse of m mod 2^26 by Hensel lifting: each iteration
-     doubles the number of correct low bits, so five from x=1 cover 26 *)
+  let need = (B.bit_length m + wbits - 1) / wbits in
+  let k = match limbs with Some l -> max l need | None -> need in
+  if k > max_limbs then invalid_arg "Montgomery.create: modulus wider than 3528 bits";
+  let n = pack ~k m in
+  (* Hensel lifting doubles the correct low bits per step; five
+     iterations from x = 1 give 32 >= 28 *)
   let inv = ref 1 in
   for _ = 1 to 5 do
-    inv := !inv * (2 - (mm.(0) * !inv)) land limb_mask
+    inv := !inv * (2 - (n.(0) * !inv)) land wmask
   done;
-  let m0' = (base - !inv) land limb_mask in
-  let r2 =
-    pad k (B.Internal.mag (B.erem (B.shift_left B.one (2 * k * limb_bits)) m))
-  in
-  let one_v = pad k [| 1 |] in
-  let one_m = mont_mul ~mm ~k ~m0' r2 one_v in
-  { modulus = m; mm; k; m0'; r2; one_m }
+  let pow_r e = pack ~k (B.erem (B.shift_left B.one (e * k * wbits)) m) in
+  { modulus = m; n; k; n0' = (wbase - !inv) land wmask; r2 = pow_r 2; r3 = pow_r 3; one = pow_r 1 }
 
-let modulus t = t.modulus
+let limbs_of_bigint t x =
+  if B.sign x < 0 || B.bit_length x > t.k * wbits then
+    invalid_arg "Montgomery.limbs_of_bigint: value out of range";
+  pack ~k:t.k x
 
-let to_mont t x = mont_mul ~mm:t.mm ~k:t.k ~m0':t.m0' x t.r2
-
-let from_mont t x = mont_mul ~mm:t.mm ~k:t.k ~m0':t.m0' x (pad t.k [| 1 |])
+(* --- precomputed exponent schedules ------------------------------------------ *)
 
 let window_bits = 4
 let table_size = 1 lsl window_bits
 
-let modpow t b e =
-  if B.sign e < 0 then invalid_arg "Montgomery.modpow: negative exponent";
-  Tangled_obs.Obs.observe modpow_bits (float_of_int (B.bit_length e));
-  if B.is_zero e then B.one (* modulus > 1, so 1 is already reduced *)
-  else begin
-    let mul = mont_mul ~mm:t.mm ~k:t.k ~m0':t.m0' in
-    let sqr = mont_sqr ~mm:t.mm ~k:t.k ~m0':t.m0' in
-    let bm = to_mont t (pad t.k (B.Internal.mag (B.erem b t.modulus))) in
-    (* fixed-window table: g^0 .. g^15 in Montgomery form *)
-    let table = Array.make table_size t.one_m in
-    table.(1) <- bm;
-    for i = 2 to table_size - 1 do
-      table.(i) <- mul table.(i - 1) bm
-    done;
-    let emag = B.Internal.mag e in
-    let elimbs = Array.length emag in
-    let digit w =
-      let bit = w * window_bits in
-      let limb = bit / limb_bits and off = bit mod limb_bits in
-      let v = emag.(limb) lsr off in
-      let v =
-        if off > limb_bits - window_bits && limb + 1 < elimbs then
-          v lor (emag.(limb + 1) lsl (limb_bits - off))
-        else v
-      in
-      v land (table_size - 1)
-    in
-    let nwin = (B.bit_length e + window_bits - 1) / window_bits in
-    (* the top window holds the exponent's top bit, so it is nonzero *)
-    let acc = ref table.(digit (nwin - 1)) in
-    for w = nwin - 2 downto 0 do
-      for _ = 1 to window_bits do
-        acc := sqr !acc
-      done;
-      let d = digit w in
-      if d <> 0 then acc := mul !acc table.(d)
-    done;
-    B.Internal.of_mag (from_mont t !acc)
-  end
-
-(* --- precomputed exponent schedules ---------------------------------- *)
-
 type schedule = {
   digits : int array; (* 4-bit window digits, most significant first *)
   s_bits : int;
-  weight : int;       (* exponent popcount — picks the sparse path *)
+  weight : int;       (* exponent popcount — picks the sparse walk *)
   exponent : B.t;     (* kept for the sparse walk's testbit scan *)
 }
 
@@ -417,13 +488,14 @@ let schedule e =
   let bits = B.bit_length e in
   let emag = B.Internal.mag e in
   let elimbs = Array.length emag in
+  let lb = B.Internal.limb_bits in
   let digit w =
     let bit = w * window_bits in
-    let limb = bit / limb_bits and off = bit mod limb_bits in
+    let limb = bit / lb and off = bit mod lb in
     let v = emag.(limb) lsr off in
     let v =
-      if off > limb_bits - window_bits && limb + 1 < elimbs then
-        v lor (emag.(limb + 1) lsl (limb_bits - off))
+      if off > lb - window_bits && limb + 1 < elimbs then
+        v lor (emag.(limb + 1) lsl (lb - off))
       else v
     in
     v land (table_size - 1)
@@ -440,1092 +512,192 @@ let schedule e =
     exponent = e;
   }
 
-let schedule_bits s = s.s_bits
-
-(* --- reusable per-width scratch -------------------------------------- *)
+(* --- reusable per-width scratch ---------------------------------------------- *)
 
 type scratch = {
-  sk : int array;            (* width tag: mu row doubles as the check *)
+  mu : int array;           (* k: the quotient row, doubles as the width tag *)
   t0 : int array;
   t1 : int array;
-  bm : int array;            (* the base in Montgomery form *)
-  table : int array array;   (* 16 × k window table *)
-  one_v : int array;         (* padded 1, for the final from_mont *)
+  bm : int array;           (* the base in Montgomery form *)
+  table : int array array;  (* 16 × k window table *)
+  prod : int array;         (* 2k + 1: REDC input and the CRT product *)
 }
 
 let scratch t =
   let k = t.k in
   {
-    sk = Array.make k 0;
+    mu = Array.make k 0;
     t0 = Array.make k 0;
     t1 = Array.make k 0;
     bm = Array.make k 0;
     table = Array.init table_size (fun _ -> Array.make k 0);
-    one_v = pad k [| 1 |];
+    prod = Array.make ((2 * k) + 1) 0;
   }
 
 let check_width t sc =
-  if Array.length sc.sk <> t.k then
+  if Array.length sc.mu <> t.k then
     invalid_arg "Montgomery: scratch width does not match context"
 
-(* the two kernel shapes behind one pair of closures: k = 8 takes the
-   straight-line unrolled code path, everything else the generic loops *)
-let kernels t sc =
-  if t.k = 8 then
-    ( (fun ~dst a b -> mont_mul8 ~mm:t.mm ~m0':t.m0' ~dst a b),
-      fun ~dst a -> mont_sqr8 ~mm:t.mm ~m0':t.m0' ~dst a )
-  else
-    ( (fun ~dst a b -> mont_mul_into ~mm:t.mm ~k:t.k ~m0':t.m0' ~mu:sc.sk ~dst a b),
-      fun ~dst a -> mont_sqr_into ~mm:t.mm ~k:t.k ~m0':t.m0' ~mu:sc.sk ~dst a )
+(* width tests that branch-predict perfectly: k = 7 runs the
+   straight-line kernels, k <= 63 the single-accumulator loops, wider
+   moduli the folding ones *)
+let mul t sc ~dst a b =
+  let k = t.k in
+  if k = 7 then mont_mul7 ~n:t.n ~n0':t.n0' ~dst a b
+  else if k <= integrated_max_k then mont_mul_into ~n:t.n ~k ~n0':t.n0' ~mu:sc.mu ~dst a b
+  else mont_mul_fold ~n:t.n ~k ~n0':t.n0' ~mu:sc.mu ~dst a b
 
-let load_base t sc (mul : dst:int array -> int array -> int array -> unit) b =
-  let reduced = B.erem b t.modulus in
-  let mag = B.Internal.mag reduced in
-  let len = Array.length mag in
-  Array.blit mag 0 sc.t0 0 len;
-  Array.fill sc.t0 len (t.k - len) 0;
-  mul ~dst:sc.bm sc.t0 t.r2
+let sqr t sc ~dst a =
+  let k = t.k in
+  if k = 7 then mont_sqr7 ~n:t.n ~n0':t.n0' ~dst a
+  else if k <= integrated_max_k then mont_sqr_into ~n:t.n ~k ~n0':t.n0' ~mu:sc.mu ~dst a
+  else mont_sqr_fold ~n:t.n ~k ~n0':t.n0' ~mu:sc.mu ~dst a
 
-let powm t sc sched b =
+(* --- base loading -----------------------------------------------------------
+
+   Montgomery entry without division: a k-limb value x (any value
+   below R, reduced or not) enters as mul(x, R²) = x·R mod m.  A
+   2k-limb value — the 384-bit EMSA block against a 192-bit CRT
+   modulus — first drops below R by one REDC pass, then one multiply
+   by R³ restores x·R mod m. *)
+let load_base_bytes t sc s =
   check_width t sc;
-  Tangled_obs.Obs.observe modpow_bits (float_of_int sched.s_bits);
-  if sched.s_bits = 0 then B.one
+  let k = t.k in
+  if String.length s * 8 > 2 * k * wbits then
+    invalid_arg "Montgomery.load_base_bytes: value wider than 2k limbs";
+  pack_bytes_be s sc.prod;
+  let wide = ref false in
+  for i = k to (2 * k) - 1 do
+    if Array.unsafe_get sc.prod i <> 0 then wide := true
+  done;
+  if not !wide then mul t sc ~dst:sc.bm sc.prod t.r2
   else begin
-    let mul, sqr = kernels t sc in
-    load_base t sc mul b;
-    Array.blit t.one_m 0 sc.table.(0) 0 t.k;
-    Array.blit sc.bm 0 sc.table.(1) 0 t.k;
-    for i = 2 to table_size - 1 do
-      mul ~dst:sc.table.(i) sc.table.(i - 1) sc.bm
-    done;
-    let digits = sched.digits in
-    Array.blit sc.table.(digits.(0)) 0 sc.t0 0 t.k;
-    let cur = ref sc.t0 and other = ref sc.t1 in
-    for w = 1 to Array.length digits - 1 do
-      for _ = 1 to window_bits do
-        sqr ~dst:!other !cur;
-        (let x = !cur in cur := !other; other := x)
-      done;
-      let d = digits.(w) in
-      if d <> 0 then begin
-        mul ~dst:!other !cur sc.table.(d);
-        (let x = !cur in cur := !other; other := x)
-      end
-    done;
-    mul ~dst:!other !cur sc.one_v;
-    B.Internal.of_mag (Array.copy !other)
+    redc ~n:t.n ~k ~n0':t.n0' ~dst:sc.t0 sc.prod;
+    mul t sc ~dst:sc.bm sc.t0 t.r3
   end
+
+(* --- the exponentiation walk --------------------------------------------------
+
+   Both walks start from the base in [sc.bm] and return the buffer
+   holding the Montgomery-form result. *)
+
+(* fixed 4-bit windows: a 14-multiply table, then 4 squarings and at
+   most one multiply per window *)
+let window_walk t sc sched =
+  let k = t.k in
+  Array.blit t.one 0 sc.table.(0) 0 k;
+  Array.blit sc.bm 0 sc.table.(1) 0 k;
+  for i = 2 to table_size - 1 do
+    mul t sc ~dst:sc.table.(i) sc.table.(i - 1) sc.bm
+  done;
+  let digits = sched.digits in
+  Array.blit sc.table.(digits.(0)) 0 sc.t0 0 k;
+  let cur = ref sc.t0 and other = ref sc.t1 in
+  for w = 1 to Array.length digits - 1 do
+    for _ = 1 to window_bits do
+      sqr t sc ~dst:!other !cur;
+      (let x = !cur in cur := !other; other := x)
+    done;
+    let d = digits.(w) in
+    if d <> 0 then begin
+      mul t sc ~dst:!other !cur sc.table.(d);
+      (let x = !cur in cur := !other; other := x)
+    end
+  done;
+  !cur
 
 (* plain left-to-right square-and-multiply: (bits-1) squarings and
    (weight-1) multiplies, no table.  For e = 65537 that is 16 + 1
-   kernel calls against the windowed path's 16 + 14 + 4 — the table
-   build dominates short or low-weight exponents. *)
-let powm_sparse t sc sched b =
-  check_width t sc;
-  Tangled_obs.Obs.observe modpow_bits (float_of_int sched.s_bits);
-  if sched.s_bits = 0 then B.one
-  else begin
-    let mul, sqr = kernels t sc in
-    load_base t sc mul b;
-    let e = sched.exponent in
-    Array.blit sc.bm 0 sc.t0 0 t.k;
-    let cur = ref sc.t0 and other = ref sc.t1 in
-    for i = sched.s_bits - 2 downto 0 do
-      sqr ~dst:!other !cur;
-      (let x = !cur in cur := !other; other := x);
-      if B.testbit e i then begin
-        mul ~dst:!other !cur sc.bm;
-        (let x = !cur in cur := !other; other := x)
-      end
-    done;
-    mul ~dst:!other !cur sc.one_v;
-    B.Internal.of_mag (Array.copy !other)
-  end
+   kernel calls against the windowed walk's 16 + 14 + 4. *)
+let sparse_walk t sc sched =
+  let e = sched.exponent in
+  Array.blit sc.bm 0 sc.t0 0 t.k;
+  let cur = ref sc.t0 and other = ref sc.t1 in
+  for i = sched.s_bits - 2 downto 0 do
+    sqr t sc ~dst:!other !cur;
+    (let x = !cur in cur := !other; other := x);
+    if B.testbit e i then begin
+      mul t sc ~dst:!other !cur sc.bm;
+      (let x = !cur in cur := !other; other := x)
+    end
+  done;
+  !cur
 
-(* a sparse walk beats the windowed one when the multiplies it saves
-   (the 14-entry table build plus ~bits/4 window multiplies, against
-   weight-1 of its own) outweigh nothing — both do bits-ish squarings *)
+(* the sparse walk wins when its weight-1 multiplies undercut the
+   windowed walk's table build plus ~bits/4 window multiplies; both
+   do bits-ish squarings *)
 let sparse_profitable sched =
   sched.weight - 1 < (table_size - 2) + (sched.s_bits / window_bits)
 
-let powm_auto t sc sched b =
-  if sparse_profitable sched then powm_sparse t sc sched b
-  else powm t sc sched b
-
-(* --- fixed-base comb -------------------------------------------------- *)
-
-module Fixed_base = struct
-  (* For a base that repeats across many exponentiations, precompute
-     tabs.(w).(d) = b^(d·16^w) in Montgomery form for every window
-     position w and digit d.  An exponentiation is then a product of
-     one table entry per nonzero window digit — ~bits/4 multiplies
-     and no squarings at all (the squarings were hoisted into the
-     table).  The table costs ~bits squarings plus 14·nwin multiplies
-     to build, so it pays for itself after a handful of calls. *)
-
-  type fb = {
-    ctx : t;
-    tabs : int array array array; (* nwin × 16 × k *)
-    fb_bits : int;
-  }
-
-  let precompute ctx b ~bits =
-    if bits < 1 then invalid_arg "Fixed_base.precompute: bits must be >= 1";
-    let { mm; k; m0'; _ } = ctx in
-    let mul = mont_mul ~mm ~k ~m0' in
-    let bm = mul (pad k (B.Internal.mag (B.erem b ctx.modulus))) ctx.r2 in
-    let nwin = (bits + window_bits - 1) / window_bits in
-    let tabs = Array.init nwin (fun _ -> Array.make table_size ctx.one_m) in
-    let cur = ref bm in
-    for w = 0 to nwin - 1 do
-      tabs.(w).(1) <- !cur;
-      for d = 2 to table_size - 1 do
-        tabs.(w).(d) <- mul tabs.(w).(d - 1) !cur
-      done;
-      (* b^(16^(w+1)) = (b^(8·16^w))² *)
-      cur := mul tabs.(w).(8) tabs.(w).(8)
-    done;
-    { ctx; tabs; fb_bits = bits }
-
-  let bits fb = fb.fb_bits
-
-  let powm fb sched =
-    let t = fb.ctx in
-    if sched.s_bits > fb.fb_bits then
-      invalid_arg "Fixed_base.powm: exponent wider than the precomputed table";
-    Tangled_obs.Obs.observe modpow_bits (float_of_int sched.s_bits);
-    if sched.s_bits = 0 then B.one
-    else begin
-      let mu = Array.make t.k 0 in
-      let t0 = Array.make t.k 0 in
-      let t1 = Array.make t.k 0 in
-      let mul ~dst a b = mont_mul_into ~mm:t.mm ~k:t.k ~m0':t.m0' ~mu ~dst a b in
-      let digits = sched.digits in
-      let nd = Array.length digits in
-      Array.blit t.one_m 0 t0 0 t.k;
-      let cur = ref t0 and other = ref t1 in
-      for w = 0 to nd - 1 do
-        (* digits are most-significant-first; window w of the comb is
-           the exponent's w-th least-significant digit *)
-        let d = digits.(nd - 1 - w) in
-        if d <> 0 then begin
-          mul ~dst:!other !cur fb.tabs.(w).(d);
-          let x = !cur in cur := !other; other := x
-        end
-      done;
-      mul ~dst:!other !cur (pad t.k [| 1 |]);
-      B.Internal.of_mag (Array.copy !other)
-    end
-end
-
-(* --- the wide plane: 28-bit packed kernels --------------------------------
-
-   The 26-bit plane above inherits its limb width from Bigint, whose
-   schoolbook division needs two spare bits.  Montgomery arithmetic
-   never divides, so its kernels can run on wider limbs: at 28 bits a
-   partial product stays below 2^56, leaving seven headroom bits —
-   enough for the same cheap one-multiply-one-add column accumulation
-   as long as a column sums at most 63 products (integrated
-   product-scanning: 2k <= 63, i.e. moduli up to 868 bits; plain
-   schoolbook products: min(ka,kb) <= 63 limbs).  A 192-bit RSA-CRT
-   half is then 7 limbs instead of 8, cutting the multiplies per
-   kernel call from 2*8^2+8 = 136 to 2*7^2+7 = 105 and the squaring
-   kernel to ~84.
-
-   (A 31-bit packing was prototyped first: products reach 62 bits, so
-   every column needs split lo/hi accumulators — five ALU ops per
-   product instead of two.  Measured on this box the k = 7 31-bit
-   kernel ran ~35 % slower than the existing 26-bit k = 8 one; the
-   28-bit layout keeps the 2-op column structure and wins.  See
-   DESIGN.md section 8.)
-
-   Above the integrated bound the full product is computed separately
-   and reduced with a word-by-word REDC pass (whose per-step sums are
-   k-independent).  The product itself goes through subtractive
-   Karatsuba above {!Wide.karatsuba_threshold} limbs: the subtractive
-   variant multiplies |a_lo - a_hi| terms, which stay 28-bit, so the
-   base case never sees grown limbs and the 63-product column bound
-   holds at every recursion level.  Squaring keeps its own Karatsuba:
-   2*a_lo*a_hi = a_lo^2 + a_hi^2 - (a_lo - a_hi)^2, so all three
-   recursive calls are squarings and the doubling trick survives down
-   the tree.
-
-   Everything runs in a preallocated {!Wide.scratch}: the hot RSA-CRT
-   sign path does not allocate between the message bytes going in and
-   the signature bytes coming out. *)
-
-module Wide = struct
-  let wbits = 28
-  let wbase = 1 lsl wbits
-  let wmask = wbase - 1
-
-  (* integrated product scanning sums up to 2k products of < 2^56 in
-     one accumulator; 2k <= 63 keeps that under the 62-bit native
-     positive range *)
-  let integrated_max_k = 31
-
-  (* schoolbook <-> Karatsuba crossover, in limbs.  The threshold
-     sweep on the 1-CPU reference box (DESIGN.md section 8) put the
-     measured crossover at or above the 63-limb column-accumulator
-     bound, so flat product-scanning runs wherever it is legal and
-     Karatsuba recursion happens only when overflow forces it; the
-     value must never exceed 63 or base-case columns overflow *)
-  let karatsuba_threshold = 63
-
-  type wt = {
-    w_modulus : B.t;
-    wn : int array;    (* modulus, k 28-bit limbs *)
-    wk : int;
-    wn0' : int;        (* -modulus^{-1} mod 2^28 *)
-    wr2 : int array;   (* R^2 mod m *)
-    wr3 : int array;   (* R^3 mod m — one-multiply Montgomery entry
-                          for 2k-limb operands reduced via REDC *)
-    w_one : int array; (* R mod m, Montgomery form of 1 *)
-  }
-
-  type t = wt
-
-  let modulus t = t.w_modulus
-  let k t = t.wk
-
-  (* --- packing ------------------------------------------------------- *)
-
-  (* repack a 26-bit magnitude into [k] 28-bit limbs *)
-  let pack_mag ~k mag =
-    let r = Array.make k 0 in
-    let b26 = B.Internal.limb_bits in
-    Array.iteri
-      (fun i v ->
-        let bit = i * b26 in
-        let limb = bit / wbits and off = bit mod wbits in
-        if limb < k then begin
-          r.(limb) <- r.(limb) lor ((v lsl off) land wmask);
-          if off > wbits - b26 && limb + 1 < k then
-            r.(limb + 1) <- r.(limb + 1) lor (v lsr (wbits - off))
-        end)
-      mag;
-    r
-
-  let limbs_of_bigint t x =
-    if B.sign x < 0 || B.bit_length x > t.wk * wbits then
-      invalid_arg "Montgomery.Wide.limbs_of_bigint: value out of range";
-    pack_mag ~k:t.wk (B.Internal.mag x)
-
-  let bigint_of_limbs limbs =
-    let r = ref B.zero in
-    for i = Array.length limbs - 1 downto 0 do
-      r := B.add (B.shift_left !r wbits) (B.of_int limbs.(i))
-    done;
-    !r
-
-  (* big-endian bytes -> 28-bit limbs, low limb first; [dst] is
-     overwritten completely *)
-  let pack_bytes_be s dst =
-    Array.fill dst 0 (Array.length dst) 0;
-    let nl = Array.length dst in
-    let len = String.length s in
-    for idx = 0 to len - 1 do
-      let v = Char.code (String.unsafe_get s idx) in
-      let bit = (len - 1 - idx) * 8 in
-      let limb = bit / wbits and off = bit mod wbits in
-      if limb < nl then begin
-        dst.(limb) <- dst.(limb) lor ((v lsl off) land wmask);
-        if off > wbits - 8 && limb + 1 < nl then
-          dst.(limb + 1) <- dst.(limb + 1) lor (v lsr (wbits - off))
-      end
-    done
-
-  (* 28-bit limbs -> big-endian bytes filling [dst] exactly; limb
-     content above 8*len bits must be zero (the caller guarantees the
-     value fits) *)
-  let write_bytes_be limbs nlimbs dst =
-    let len = Bytes.length dst in
-    for idx = 0 to len - 1 do
-      let bit = (len - 1 - idx) * 8 in
-      let limb = bit / wbits and off = bit mod wbits in
-      let v =
-        if limb >= nlimbs then 0
-        else begin
-          let v = Array.unsafe_get limbs limb lsr off in
-          if off > wbits - 8 && limb + 1 < nlimbs then
-            v lor (Array.unsafe_get limbs (limb + 1) lsl (wbits - off))
-          else v
-        end
-      in
-      Bytes.unsafe_set dst idx (Char.unsafe_chr (v land 0xff))
-    done
-
-  (* --- full-product kernels (offset-addressed, allocation-free) ------ *)
-
-  (* dst[doff .. doff+ka+kb-1] = a[aoff..+ka-1] * b[boff..+kb-1],
-     product scanning; requires min(ka,kb) <= 63 *)
-  let mul_sb ~dst ~doff a aoff ka b boff kb =
-    let prev = ref 0 in
-    for i = 0 to ka + kb - 2 do
-      let s = ref !prev in
-      let jmin = if i - kb + 1 > 0 then i - kb + 1 else 0 in
-      let jmax = if i < ka - 1 then i else ka - 1 in
-      for j = jmin to jmax do
-        s :=
-          !s
-          + (Array.unsafe_get a (aoff + j)
-             * Array.unsafe_get b (boff + i - j))
-      done;
-      Array.unsafe_set dst (doff + i) (!s land wmask);
-      prev := !s lsr wbits
-    done;
-    Array.unsafe_set dst (doff + ka + kb - 1) !prev
-
-  (* dst[doff .. doff+2n-1] = a[aoff..+n-1]^2: symmetric pairs computed
-     once and doubled, diagonal terms undoubled; requires n <= 62 *)
-  let sqr_sb ~dst ~doff a aoff n =
-    let prev = ref 0 in
-    for i = 0 to 2 * n - 2 do
-      let lo = if i - n + 1 > 0 then i - n + 1 else 0 in
-      let half = (i - 1) asr 1 in
-      let p = ref 0 in
-      for j = lo to half do
-        p :=
-          !p
-          + (Array.unsafe_get a (aoff + j)
-             * Array.unsafe_get a (aoff + i - j))
-      done;
-      let s = ref (!prev + (!p lsl 1)) in
-      if i land 1 = 0 && i asr 1 >= lo && i asr 1 <= n - 1 then begin
-        let d = Array.unsafe_get a (aoff + (i asr 1)) in
-        s := !s + (d * d)
-      end;
-      Array.unsafe_set dst (doff + i) (!s land wmask);
-      prev := !s lsr wbits
-    done;
-    Array.unsafe_set dst (doff + 2 * n - 1) !prev
-
-  (* |x[xoff..+xl-1] - y[yoff..+yl-1]| into dst[doff..+max-1]; returns
-     -1, 0 or 1 for the sign of x - y.  xl >= yl. *)
-  let abs_diff ~dst ~doff x xoff xl y yoff yl =
-    (* compare, treating y as zero-extended to xl *)
-    let cmp =
-      let rec go j =
-        if j < 0 then 0
-        else begin
-          let xv = Array.unsafe_get x (xoff + j) in
-          let yv = if j < yl then Array.unsafe_get y (yoff + j) else 0 in
-          if xv <> yv then (if xv > yv then 1 else -1) else go (j - 1)
-        end
-      in
-      go (xl - 1)
-    in
-    if cmp = 0 then begin
-      Array.fill dst doff xl 0;
-      0
-    end
-    else begin
-      let hi, hioff, lo, looff, lolen =
-        if cmp > 0 then (x, xoff, y, yoff, yl) else (y, yoff, x, xoff, xl)
-      in
-      (* when cmp < 0, y is the larger and has yl <= xl limbs; either
-         way the result fits xl limbs *)
-      let hilen = if cmp > 0 then xl else yl in
-      let borrow = ref 0 in
-      for j = 0 to xl - 1 do
-        let hv = if j < hilen then Array.unsafe_get hi (hioff + j) else 0 in
-        let lv = if j < lolen then Array.unsafe_get lo (looff + j) else 0 in
-        let d = hv - lv - !borrow in
-        if d < 0 then begin
-          Array.unsafe_set dst (doff + j) (d + wbase);
-          borrow := 1
-        end
-        else begin
-          Array.unsafe_set dst (doff + j) d;
-          borrow := 0
-        end
-      done;
-      cmp
-    end
-
-  (* dst[doff..] += src[soff..+len-1], carry propagated until absorbed *)
-  let add_into ~dst ~doff src soff len =
-    let c = ref 0 in
-    for j = 0 to len - 1 do
-      let s = Array.unsafe_get dst (doff + j) + Array.unsafe_get src (soff + j) + !c in
-      Array.unsafe_set dst (doff + j) (s land wmask);
-      c := s lsr wbits
-    done;
-    let idx = ref (doff + len) in
-    while !c <> 0 do
-      let s = Array.unsafe_get dst !idx + !c in
-      Array.unsafe_set dst !idx (s land wmask);
-      c := s lsr wbits;
-      incr idx
-    done
-
-  (* dst[doff..] -= src[soff..+len-1], borrow propagated until absorbed;
-     the caller guarantees the running value stays non-negative *)
-  let sub_into ~dst ~doff src soff len =
-    let b = ref 0 in
-    for j = 0 to len - 1 do
-      let d = Array.unsafe_get dst (doff + j) - Array.unsafe_get src (soff + j) - !b in
-      if d < 0 then begin
-        Array.unsafe_set dst (doff + j) (d + wbase);
-        b := 1
-      end
-      else begin
-        Array.unsafe_set dst (doff + j) d;
-        b := 0
-      end
-    done;
-    let idx = ref (doff + len) in
-    while !b <> 0 do
-      let d = Array.unsafe_get dst !idx - 1 in
-      if d < 0 then Array.unsafe_set dst !idx (d + wbase)
-      else begin
-        Array.unsafe_set dst !idx d;
-        b := 0
-      end;
-      incr idx
-    done
-
-  (* subtractive Karatsuba: dst[doff..+2n-1] = a[aoff..+n] * b[boff..+n].
-     scr is a scratch arena; each level uses 6*hn+1 cells from soff.
-     [th] is the schoolbook cutover (inclusive: n <= th -> schoolbook). *)
-  let rec mul_kar ~th ~scr ~soff ~dst ~doff a aoff b boff n =
-    if n <= th then mul_sb ~dst ~doff a aoff n b boff n
-    else begin
-      let m = n asr 1 in
-      let hn = n - m in
-      (* da = |a_lo - a_hi| (hn limbs), db likewise; a_hi has hn >= m *)
-      let sa = abs_diff ~dst:scr ~doff:soff a (aoff + m) hn a aoff m in
-      let sb = abs_diff ~dst:scr ~doff:(soff + hn) b (boff + m) hn b boff m in
-      (* P0 and P2 land in dst back to back *)
-      mul_kar ~th ~scr ~soff:(soff + 6 * hn + 2) ~dst ~doff a aoff b boff m;
-      mul_kar ~th ~scr ~soff:(soff + 6 * hn + 2) ~dst ~doff:(doff + 2 * m)
-        a (aoff + m) b (boff + m) hn;
-      (* M = da * db *)
-      mul_kar ~th ~scr ~soff:(soff + 6 * hn + 2) ~dst:scr ~doff:(soff + 2 * hn)
-        scr soff scr (soff + hn) hn;
-      (* T = P0 + P2 (2hn+1 limbs, P0 zero-extended) *)
-      let toff = soff + 4 * hn in
-      let c = ref 0 in
-      for j = 0 to 2 * hn - 1 do
-        let p0v = if j < 2 * m then Array.unsafe_get dst (doff + j) else 0 in
-        let s = p0v + Array.unsafe_get dst (doff + 2 * m + j) + !c in
-        Array.unsafe_set scr (toff + j) (s land wmask);
-        c := s lsr wbits
-      done;
-      Array.unsafe_set scr (toff + 2 * hn) !c;
-      (* middle = T -+ sa*sb*M at offset m; (a_hi-a_lo)(b_hi-b_lo) has
-         sign sa*sb and equals P0 + P2 - (a_lo*b_hi + a_hi*b_lo), so M
-         is subtracted when the signs agree and added otherwise *)
-      add_into ~dst ~doff:(doff + m) scr toff (2 * hn + 1);
-      if sa * sb > 0 then sub_into ~dst ~doff:(doff + m) scr (soff + 2 * hn) (2 * hn)
-      else if sa * sb < 0 then
-        add_into ~dst ~doff:(doff + m) scr (soff + 2 * hn) (2 * hn)
-    end
-
-  (* Karatsuba squaring: 2*a_lo*a_hi = a_lo^2 + a_hi^2 - (a_lo-a_hi)^2,
-     so the middle correction is always subtracted *)
-  let rec sqr_kar ~th ~scr ~soff ~dst ~doff a aoff n =
-    if n <= th then sqr_sb ~dst ~doff a aoff n
-    else begin
-      let m = n asr 1 in
-      let hn = n - m in
-      let (_ : int) = abs_diff ~dst:scr ~doff:soff a (aoff + m) hn a aoff m in
-      sqr_kar ~th ~scr ~soff:(soff + 6 * hn + 2) ~dst ~doff a aoff m;
-      sqr_kar ~th ~scr ~soff:(soff + 6 * hn + 2) ~dst ~doff:(doff + 2 * m)
-        a (aoff + m) hn;
-      sqr_kar ~th ~scr ~soff:(soff + 6 * hn + 2) ~dst:scr ~doff:(soff + 2 * hn)
-        scr soff hn;
-      let toff = soff + 4 * hn in
-      let c = ref 0 in
-      for j = 0 to 2 * hn - 1 do
-        let p0v = if j < 2 * m then Array.unsafe_get dst (doff + j) else 0 in
-        let s = p0v + Array.unsafe_get dst (doff + 2 * m + j) + !c in
-        Array.unsafe_set scr (toff + j) (s land wmask);
-        c := s lsr wbits
-      done;
-      Array.unsafe_set scr (toff + 2 * hn) !c;
-      add_into ~dst ~doff:(doff + m) scr toff (2 * hn + 1);
-      sub_into ~dst ~doff:(doff + m) scr (soff + 2 * hn) (2 * hn)
-    end
-
-  (* karatsuba scratch need: S(n) = 6*ceil(n/2)+2 + S(ceil(n/2)) — a
-     geometric series under 8n + a logarithmic tail *)
-  let kar_scratch_size k = (8 * k) + 64
-
-  (* --- word-by-word REDC ---------------------------------------------
-
-     Reduces the 2k-limb value in [t] (destroyed) to t * R^{-1} mod m,
-     k limbs in [dst], fully reduced.  Row sums are t_i + u*n_j + c
-     < 2^57 regardless of k, so this is the reduction for widths the
-     integrated kernels cannot reach. *)
-  let redc ~n ~k ~n0' ~dst t =
-    for i = 0 to k - 1 do
-      let u = Array.unsafe_get t i * n0' land wmask in
-      let c = ref 0 in
-      for j = 0 to k - 1 do
-        let x = Array.unsafe_get t (i + j) + (u * Array.unsafe_get n j) + !c in
-        Array.unsafe_set t (i + j) (x land wmask);
-        c := x lsr wbits
-      done;
-      let idx = ref (i + k) in
-      while !c <> 0 do
-        let x = Array.unsafe_get t !idx + !c in
-        Array.unsafe_set t !idx (x land wmask);
-        c := x lsr wbits;
-        incr idx
-      done
-    done;
-    Array.blit t k dst 0 k;
-    if ge_from dst n (k - 1) then begin
-      let borrow = ref 0 in
-      for j = 0 to k - 1 do
-        let d = dst.(j) - n.(j) - !borrow in
-        if d < 0 then begin
-          dst.(j) <- d + wbase;
-          borrow := 1
-        end
-        else begin
-          dst.(j) <- d;
-          borrow := 0
-        end
-      done
-    end
-
-  let w_reduce_final ~n ~k dst high =
-    if high <> 0 || ge_from dst n (k - 1) then begin
-      let borrow = ref 0 in
-      for j = 0 to k - 1 do
-        let d = dst.(j) - n.(j) - !borrow in
-        if d < 0 then begin
-          dst.(j) <- d + wbase;
-          borrow := 1
-        end
-        else begin
-          dst.(j) <- d;
-          borrow := 0
-        end
-      done
-    end
-
-  (* --- integrated product-scanning kernels (k <= 31) ----------------- *)
-
-  let w_mont_mul_into ~n ~k ~n0' ~mu ~dst a b =
-    let acc = ref 0 in
-    for i = 0 to k - 1 do
-      let s = ref !acc in
-      for j = 0 to i do
-        s := !s + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
-      done;
-      for j = 0 to i - 1 do
-        s := !s + (Array.unsafe_get mu j * Array.unsafe_get n (i - j))
-      done;
-      let mi = !s * n0' land wmask in
-      Array.unsafe_set mu i mi;
-      acc := (!s + (mi * Array.unsafe_get n 0)) lsr wbits
-    done;
-    for i = k to (2 * k) - 1 do
-      let s = ref !acc in
-      for j = i - k + 1 to k - 1 do
-        s :=
-          !s
-          + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
-          + (Array.unsafe_get mu j * Array.unsafe_get n (i - j))
-      done;
-      Array.unsafe_set dst (i - k) (!s land wmask);
-      acc := !s lsr wbits
-    done;
-    w_reduce_final ~n ~k dst !acc
-
-  let w_mont_sqr_into ~n ~k ~n0' ~mu ~dst a =
-    let acc = ref 0 in
-    for i = 0 to k - 1 do
-      let half = (i - 1) asr 1 in
-      let p = ref 0 in
-      for j = 0 to half do
-        p := !p + (Array.unsafe_get a j * Array.unsafe_get a (i - j))
-      done;
-      let s = ref (!acc + (!p lsl 1)) in
-      if i land 1 = 0 then begin
-        let d = Array.unsafe_get a (i asr 1) in
-        s := !s + (d * d)
-      end;
-      for j = 0 to i - 1 do
-        s := !s + (Array.unsafe_get mu j * Array.unsafe_get n (i - j))
-      done;
-      let mi = !s * n0' land wmask in
-      Array.unsafe_set mu i mi;
-      acc := (!s + (mi * Array.unsafe_get n 0)) lsr wbits
-    done;
-    for i = k to (2 * k) - 1 do
-      let lo = i - k + 1 in
-      let half = (i - 1) asr 1 in
-      let p = ref 0 in
-      for j = lo to half do
-        p := !p + (Array.unsafe_get a j * Array.unsafe_get a (i - j))
-      done;
-      let s = ref (!acc + (!p lsl 1)) in
-      if i land 1 = 0 && i asr 1 >= lo then begin
-        let d = Array.unsafe_get a (i asr 1) in
-        s := !s + (d * d)
-      end;
-      for j = lo to k - 1 do
-        s := !s + (Array.unsafe_get mu j * Array.unsafe_get n (i - j))
-      done;
-      Array.unsafe_set dst (i - k) (!s land wmask);
-      acc := !s lsr wbits
-    done;
-    w_reduce_final ~n ~k dst !acc
-
-  (* --- fully unrolled k = 7 kernels (384-bit CRT halves) --------------
-
-     The same straight-line treatment the 26-bit plane gives k = 8,
-     one limb narrower: every operand in a named local, 105 multiplies
-     per call instead of 136, and the squaring's doubled pairs are a
-     single shift. *)
-
-  let w_mont_mul7 ~n ~n0' ~dst a b =
-    let a0 = Array.unsafe_get a 0 and a1 = Array.unsafe_get a 1
-    and a2 = Array.unsafe_get a 2 and a3 = Array.unsafe_get a 3
-    and a4 = Array.unsafe_get a 4 and a5 = Array.unsafe_get a 5
-    and a6 = Array.unsafe_get a 6 in
-    let b0 = Array.unsafe_get b 0 and b1 = Array.unsafe_get b 1
-    and b2 = Array.unsafe_get b 2 and b3 = Array.unsafe_get b 3
-    and b4 = Array.unsafe_get b 4 and b5 = Array.unsafe_get b 5
-    and b6 = Array.unsafe_get b 6 in
-    let n0 = Array.unsafe_get n 0 and n1 = Array.unsafe_get n 1
-    and n2 = Array.unsafe_get n 2 and n3 = Array.unsafe_get n 3
-    and n4 = Array.unsafe_get n 4 and n5 = Array.unsafe_get n 5
-    and n6 = Array.unsafe_get n 6 in
-    let s = a0*b0 in
-    let u0 = s * n0' land wmask in
-    let acc = (s + u0*n0) lsr wbits in
-    let s = acc + a0*b1 + a1*b0 + u0*n1 in
-    let u1 = s * n0' land wmask in
-    let acc = (s + u1*n0) lsr wbits in
-    let s = acc + a0*b2 + a1*b1 + a2*b0 + u0*n2 + u1*n1 in
-    let u2 = s * n0' land wmask in
-    let acc = (s + u2*n0) lsr wbits in
-    let s = acc + a0*b3 + a1*b2 + a2*b1 + a3*b0 + u0*n3 + u1*n2 + u2*n1 in
-    let u3 = s * n0' land wmask in
-    let acc = (s + u3*n0) lsr wbits in
-    let s = acc + a0*b4 + a1*b3 + a2*b2 + a3*b1 + a4*b0
-            + u0*n4 + u1*n3 + u2*n2 + u3*n1 in
-    let u4 = s * n0' land wmask in
-    let acc = (s + u4*n0) lsr wbits in
-    let s = acc + a0*b5 + a1*b4 + a2*b3 + a3*b2 + a4*b1 + a5*b0
-            + u0*n5 + u1*n4 + u2*n3 + u3*n2 + u4*n1 in
-    let u5 = s * n0' land wmask in
-    let acc = (s + u5*n0) lsr wbits in
-    let s = acc + a0*b6 + a1*b5 + a2*b4 + a3*b3 + a4*b2 + a5*b1 + a6*b0
-            + u0*n6 + u1*n5 + u2*n4 + u3*n3 + u4*n2 + u5*n1 in
-    let u6 = s * n0' land wmask in
-    let acc = (s + u6*n0) lsr wbits in
-    let s = acc + a1*b6 + a2*b5 + a3*b4 + a4*b3 + a5*b2 + a6*b1
-            + u1*n6 + u2*n5 + u3*n4 + u4*n3 + u5*n2 + u6*n1 in
-    Array.unsafe_set dst 0 (s land wmask);
-    let acc = s lsr wbits in
-    let s = acc + a2*b6 + a3*b5 + a4*b4 + a5*b3 + a6*b2
-            + u2*n6 + u3*n5 + u4*n4 + u5*n3 + u6*n2 in
-    Array.unsafe_set dst 1 (s land wmask);
-    let acc = s lsr wbits in
-    let s = acc + a3*b6 + a4*b5 + a5*b4 + a6*b3 + u3*n6 + u4*n5 + u5*n4 + u6*n3 in
-    Array.unsafe_set dst 2 (s land wmask);
-    let acc = s lsr wbits in
-    let s = acc + a4*b6 + a5*b5 + a6*b4 + u4*n6 + u5*n5 + u6*n4 in
-    Array.unsafe_set dst 3 (s land wmask);
-    let acc = s lsr wbits in
-    let s = acc + a5*b6 + a6*b5 + u5*n6 + u6*n5 in
-    Array.unsafe_set dst 4 (s land wmask);
-    let acc = s lsr wbits in
-    let s = acc + a6*b6 + u6*n6 in
-    Array.unsafe_set dst 5 (s land wmask);
-    let acc = s lsr wbits in
-    Array.unsafe_set dst 6 (acc land wmask);
-    w_reduce_final ~n ~k:7 dst (acc lsr wbits)
-
-  let w_mont_sqr7 ~n ~n0' ~dst a =
-    let a0 = Array.unsafe_get a 0 and a1 = Array.unsafe_get a 1
-    and a2 = Array.unsafe_get a 2 and a3 = Array.unsafe_get a 3
-    and a4 = Array.unsafe_get a 4 and a5 = Array.unsafe_get a 5
-    and a6 = Array.unsafe_get a 6 in
-    let n0 = Array.unsafe_get n 0 and n1 = Array.unsafe_get n 1
-    and n2 = Array.unsafe_get n 2 and n3 = Array.unsafe_get n 3
-    and n4 = Array.unsafe_get n 4 and n5 = Array.unsafe_get n 5
-    and n6 = Array.unsafe_get n 6 in
-    let s = a0*a0 in
-    let u0 = s * n0' land wmask in
-    let acc = (s + u0*n0) lsr wbits in
-    let s = acc + ((a0*a1) lsl 1) + u0*n1 in
-    let u1 = s * n0' land wmask in
-    let acc = (s + u1*n0) lsr wbits in
-    let s = acc + ((a0*a2) lsl 1) + a1*a1 + u0*n2 + u1*n1 in
-    let u2 = s * n0' land wmask in
-    let acc = (s + u2*n0) lsr wbits in
-    let s = acc + ((a0*a3 + a1*a2) lsl 1) + u0*n3 + u1*n2 + u2*n1 in
-    let u3 = s * n0' land wmask in
-    let acc = (s + u3*n0) lsr wbits in
-    let s = acc + ((a0*a4 + a1*a3) lsl 1) + a2*a2 + u0*n4 + u1*n3 + u2*n2 + u3*n1 in
-    let u4 = s * n0' land wmask in
-    let acc = (s + u4*n0) lsr wbits in
-    let s = acc + ((a0*a5 + a1*a4 + a2*a3) lsl 1)
-            + u0*n5 + u1*n4 + u2*n3 + u3*n2 + u4*n1 in
-    let u5 = s * n0' land wmask in
-    let acc = (s + u5*n0) lsr wbits in
-    let s = acc + ((a0*a6 + a1*a5 + a2*a4) lsl 1) + a3*a3
-            + u0*n6 + u1*n5 + u2*n4 + u3*n3 + u4*n2 + u5*n1 in
-    let u6 = s * n0' land wmask in
-    let acc = (s + u6*n0) lsr wbits in
-    let s = acc + ((a1*a6 + a2*a5 + a3*a4) lsl 1)
-            + u1*n6 + u2*n5 + u3*n4 + u4*n3 + u5*n2 + u6*n1 in
-    Array.unsafe_set dst 0 (s land wmask);
-    let acc = s lsr wbits in
-    let s = acc + ((a2*a6 + a3*a5) lsl 1) + a4*a4
-            + u2*n6 + u3*n5 + u4*n4 + u5*n3 + u6*n2 in
-    Array.unsafe_set dst 1 (s land wmask);
-    let acc = s lsr wbits in
-    let s = acc + ((a3*a6 + a4*a5) lsl 1) + u3*n6 + u4*n5 + u5*n4 + u6*n3 in
-    Array.unsafe_set dst 2 (s land wmask);
-    let acc = s lsr wbits in
-    let s = acc + ((a4*a6) lsl 1) + a5*a5 + u4*n6 + u5*n5 + u6*n4 in
-    Array.unsafe_set dst 3 (s land wmask);
-    let acc = s lsr wbits in
-    let s = acc + ((a5*a6) lsl 1) + u5*n6 + u6*n5 in
-    Array.unsafe_set dst 4 (s land wmask);
-    let acc = s lsr wbits in
-    let s = acc + a6*a6 + u6*n6 in
-    Array.unsafe_set dst 5 (s land wmask);
-    let acc = s lsr wbits in
-    Array.unsafe_set dst 6 (acc land wmask);
-    w_reduce_final ~n ~k:7 dst (acc lsr wbits)
-
-  (* --- context and scratch ------------------------------------------- *)
-
-  let create m =
-    if B.sign m <= 0 || B.compare m B.one <= 0 then
-      invalid_arg "Montgomery.Wide.create: modulus must exceed 1";
-    if not (B.is_odd m) then
-      invalid_arg "Montgomery.Wide.create: modulus must be odd";
-    let bits = B.bit_length m in
-    let k = (bits + wbits - 1) / wbits in
-    let wn = pack_mag ~k (B.Internal.mag m) in
-    (* Hensel lifting doubles correct low bits per step; five
-       iterations from x = 1 give 32 >= 28 *)
-    let inv = ref 1 in
-    for _ = 1 to 5 do
-      inv := !inv * (2 - (wn.(0) * !inv)) land wmask
-    done;
-    let wn0' = (wbase - !inv) land wmask in
-    let pow_r e = B.erem (B.shift_left B.one (e * k * wbits)) m in
-    {
-      w_modulus = m;
-      wn;
-      wk = k;
-      wn0';
-      wr2 = pack_mag ~k (B.Internal.mag (pow_r 2));
-      wr3 = pack_mag ~k (B.Internal.mag (pow_r 3));
-      w_one = pack_mag ~k (B.Internal.mag (pow_r 1));
-    }
-
-  type wscratch = {
-    wsk : int array;           (* k — width tag and the mu row *)
-    wt0 : int array;
-    wt1 : int array;
-    wbm : int array;           (* base, Montgomery form *)
-    wtable : int array array;  (* 16 x k window table *)
-    wprod : int array;         (* 2k + 1 — full products and REDC input *)
-    wkar : int array;          (* Karatsuba arena *)
-  }
-
-  let scratch t =
-    let k = t.wk in
-    {
-      wsk = Array.make k 0;
-      wt0 = Array.make k 0;
-      wt1 = Array.make k 0;
-      wbm = Array.make k 0;
-      wtable = Array.init table_size (fun _ -> Array.make k 0);
-      wprod = Array.make ((2 * k) + 1) 0;
-      wkar = Array.make (kar_scratch_size k) 0;
-    }
-
-  let w_check_width t sc =
-    if Array.length sc.wsk <> t.wk then
-      invalid_arg "Montgomery.Wide: scratch width does not match context"
-
-  (* --- kernel dispatch ------------------------------------------------
-
-     Direct top-level calls with a width test that branch-predicts
-     perfectly: k = 7 (the Notary CRT half) runs the straight-line
-     kernels, anything else inside the column bound runs the
-     integrated loops, and wider moduli take full product (Karatsuba
-     above the threshold) plus word-by-word REDC. *)
-
-  let w_mul t sc ~dst a b =
-    let k = t.wk in
-    if k = 7 then w_mont_mul7 ~n:t.wn ~n0':t.wn0' ~dst a b
-    else if k <= integrated_max_k then
-      w_mont_mul_into ~n:t.wn ~k ~n0':t.wn0' ~mu:sc.wsk ~dst a b
-    else begin
-      if k <= karatsuba_threshold then mul_sb ~dst:sc.wprod ~doff:0 a 0 k b 0 k
-      else
-        mul_kar ~th:karatsuba_threshold ~scr:sc.wkar ~soff:0 ~dst:sc.wprod
-          ~doff:0 a 0 b 0 k;
-      redc ~n:t.wn ~k ~n0':t.wn0' ~dst sc.wprod
-    end
-
-  let w_sqr t sc ~dst a =
-    let k = t.wk in
-    if k = 7 then w_mont_sqr7 ~n:t.wn ~n0':t.wn0' ~dst a
-    else if k <= integrated_max_k then
-      w_mont_sqr_into ~n:t.wn ~k ~n0':t.wn0' ~mu:sc.wsk ~dst a
-    else begin
-      if k <= karatsuba_threshold then sqr_sb ~dst:sc.wprod ~doff:0 a 0 k
-      else
-        sqr_kar ~th:karatsuba_threshold ~scr:sc.wkar ~soff:0 ~dst:sc.wprod
-          ~doff:0 a 0 k;
-      redc ~n:t.wn ~k ~n0':t.wn0' ~dst sc.wprod
-    end
-
-  (* --- base loading ----------------------------------------------------
-
-     Montgomery entry without division: a k-limb value x (any value
-     below R, reduced or not) enters as mont_mul(x, R^2) = x*R mod m.
-     A 2k-limb value — the 384-bit EMSA block against a 192-bit CRT
-     modulus — first drops to x*R^{-1} mod m by one REDC pass (valid
-     whenever x < R*m), then one multiply by R^3 restores x*R mod m.
-     Only values wider than 2k limbs fall back to Bigint division. *)
-
-  let load_base_limbs t sc =
-    let k = t.wk in
-    let wide = ref false in
-    for i = k to (2 * k) - 1 do
-      if Array.unsafe_get sc.wprod i <> 0 then wide := true
-    done;
-    if not !wide then begin
-      Array.blit sc.wprod 0 sc.wt0 0 k;
-      w_mul t sc ~dst:sc.wbm sc.wt0 t.wr2
-    end
-    else begin
-      redc ~n:t.wn ~k ~n0':t.wn0' ~dst:sc.wt0 sc.wprod;
-      w_mul t sc ~dst:sc.wbm sc.wt0 t.wr3
-    end
-
-  (* load big-endian bytes as the exponentiation base; the value must
-     fit 2k limbs (wider inputs go through {!load_base}) *)
-  let load_base_bytes t sc s =
-    if String.length s * 8 > 2 * t.wk * wbits then
-      invalid_arg "Montgomery.Wide.load_base_bytes: value wider than 2k limbs";
-    pack_bytes_be s sc.wprod;
-    sc.wprod.(2 * t.wk) <- 0;
-    load_base_limbs t sc
-
-  let load_base t sc b =
-    let k = t.wk in
-    let b =
-      if B.sign b < 0 || B.bit_length b > 2 * k * wbits then B.erem b t.w_modulus
-      else b
-    in
-    let mag = B.Internal.mag b in
-    let packed = pack_mag ~k:(2 * k) mag in
-    Array.blit packed 0 sc.wprod 0 (2 * k);
-    sc.wprod.(2 * k) <- 0;
-    load_base_limbs t sc
-
-  (* --- exponentiation walks -------------------------------------------
-
-     Identical structure to the 26-bit {!powm}/{!powm_sparse}, over the
-     dispatched wide kernels; [_loaded] variants assume the base is
-     already in [sc.wbm] and leave the plain (de-Montgomeryfied)
-     result in [dst], so the RSA-CRT path never touches Bigint. *)
-
-  let powm_loaded t sc sched ~dst =
-    w_check_width t sc;
-    let k = t.wk in
-    Array.blit t.w_one 0 sc.wtable.(0) 0 k;
-    Array.blit sc.wbm 0 sc.wtable.(1) 0 k;
-    for i = 2 to table_size - 1 do
-      w_mul t sc ~dst:sc.wtable.(i) sc.wtable.(i - 1) sc.wbm
-    done;
-    let digits = sched.digits in
-    Array.blit sc.wtable.(digits.(0)) 0 sc.wt0 0 k;
-    let cur = ref sc.wt0 and other = ref sc.wt1 in
-    for w = 1 to Array.length digits - 1 do
-      for _ = 1 to window_bits do
-        w_sqr t sc ~dst:!other !cur;
-        (let x = !cur in cur := !other; other := x)
-      done;
-      let d = digits.(w) in
-      if d <> 0 then begin
-        w_mul t sc ~dst:!other !cur sc.wtable.(d);
-        (let x = !cur in cur := !other; other := x)
-      end
-    done;
-    (* out of Montgomery form: REDC of the bare value, as one multiply
-       by 1 without the table *)
-    Array.fill sc.wprod 0 ((2 * k) + 1) 0;
-    Array.blit !cur 0 sc.wprod 0 k;
-    redc ~n:t.wn ~k ~n0':t.wn0' ~dst sc.wprod
-
-  let powm_sparse_loaded t sc sched ~dst =
-    w_check_width t sc;
-    let k = t.wk in
-    let e = sched.exponent in
-    Array.blit sc.wbm 0 sc.wt0 0 k;
-    let cur = ref sc.wt0 and other = ref sc.wt1 in
-    for i = sched.s_bits - 2 downto 0 do
-      w_sqr t sc ~dst:!other !cur;
-      (let x = !cur in cur := !other; other := x);
-      if B.testbit e i then begin
-        w_mul t sc ~dst:!other !cur sc.wbm;
-        (let x = !cur in cur := !other; other := x)
-      end
-    done;
-    Array.fill sc.wprod 0 ((2 * k) + 1) 0;
-    Array.blit !cur 0 sc.wprod 0 k;
-    redc ~n:t.wn ~k ~n0':t.wn0' ~dst sc.wprod
-
-  let powm_auto_loaded t sc sched ~dst =
-    if sparse_profitable sched then powm_sparse_loaded t sc sched ~dst
-    else powm_loaded t sc sched ~dst
-
-  let run_powm walk t sc sched b =
-    w_check_width t sc;
-    Tangled_obs.Obs.observe modpow_bits (float_of_int sched.s_bits);
-    if sched.s_bits = 0 then B.one
-    else begin
-      load_base t sc b;
-      walk t sc sched ~dst:sc.wt0;
-      bigint_of_limbs sc.wt0
-    end
-
-  let powm t sc sched b = run_powm powm_loaded t sc sched b
-  let powm_sparse t sc sched b = run_powm powm_sparse_loaded t sc sched b
-  let powm_auto t sc sched b = run_powm powm_auto_loaded t sc sched b
-
-  (* --- in-plane CRT recombination -------------------------------------
-
-     sig = m2 + q * (qinv * (m1 - m2) mod p), with qinv held in
-     Montgomery form so the modular multiply is one kernel call, and
-     the final q-multiply a plain 2k-limb schoolbook product.  Assumes
-     p and q have the same limb count and q < 2p (both hold for RSA
-     primes of equal bit length), so m2 mod p is at most one
-     subtraction away.  Writes the signature big-endian into [out]
-     and never allocates. *)
-
-  let crt_combine ~pctx ~psc ~qinv_m ~qlimbs ~m1 ~m2 ~out =
-    let k = pctx.wk in
-    let n = pctx.wn in
-    (* wt0 := m2 mod p (m2 < q < 2p) *)
-    if ge_from m2 n (k - 1) then begin
-      let borrow = ref 0 in
-      for j = 0 to k - 1 do
-        let d = m2.(j) - n.(j) - !borrow in
-        if d < 0 then begin
-          psc.wt0.(j) <- d + wbase;
-          borrow := 1
-        end
-        else begin
-          psc.wt0.(j) <- d;
-          borrow := 0
-        end
-      done
-    end
-    else Array.blit m2 0 psc.wt0 0 k;
-    (* wt1 := (m1 - wt0) mod p *)
-    let borrow = ref 0 in
-    for j = 0 to k - 1 do
-      let d = m1.(j) - psc.wt0.(j) - !borrow in
-      if d < 0 then begin
-        psc.wt1.(j) <- d + wbase;
-        borrow := 1
-      end
-      else begin
-        psc.wt1.(j) <- d;
-        borrow := 0
-      end
-    done;
-    if !borrow <> 0 then begin
-      let c = ref 0 in
-      for j = 0 to k - 1 do
-        let s = psc.wt1.(j) + n.(j) + !c in
-        psc.wt1.(j) <- s land wmask;
-        c := s lsr wbits
-      done
-    end;
-    (* wt0 := qinv * (m1 - m2) mod p — Montgomery-form qinv against the
-       plain difference gives the plain product *)
-    w_mul pctx psc ~dst:psc.wt0 qinv_m psc.wt1;
-    (* wprod := h * q + m2 *)
-    mul_sb ~dst:psc.wprod ~doff:0 psc.wt0 0 k qlimbs 0 k;
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = Array.unsafe_get psc.wprod j + Array.unsafe_get m2 j + !c in
-      Array.unsafe_set psc.wprod j (s land wmask);
-      c := s lsr wbits
-    done;
-    let idx = ref k in
-    while !c <> 0 do
-      let s = psc.wprod.(!idx) + !c in
-      psc.wprod.(!idx) <- s land wmask;
-      c := s lsr wbits;
-      incr idx
-    done;
-    write_bytes_be psc.wprod (2 * k) out
-
-  (* Montgomery form of a packed value, via the scratch table row 15
-     (free at call time); used to precompute qinv_m once per key *)
-  let to_mont_limbs t sc x =
-    let r = Array.make t.wk 0 in
-    w_mul t sc ~dst:r x t.wr2;
-    r
-
-  (* --- test hooks ------------------------------------------------------ *)
-
-  module Internal = struct
-    let karatsuba_threshold = karatsuba_threshold
-    let integrated_max_k = integrated_max_k
-
-    let pack x =
-      let bits = Stdlib.max 1 (B.bit_length x) in
-      let k = (bits + wbits - 1) / wbits in
-      pack_mag ~k (B.Internal.mag x)
-
-    let unpack = bigint_of_limbs
-
-    (* full product with an explicit schoolbook cutover, for the
-       QCheck karatsuba == schoolbook cross-oracle; asymmetric
-       operands are zero-extended to the longer length *)
-    let mul_limbs ~threshold a b =
-      let ka = Array.length a and kb = Array.length b in
-      let n = Stdlib.max ka kb in
-      if threshold < 1 then invalid_arg "Wide.Internal.mul_limbs: threshold < 1";
-      let dst = Array.make (2 * n) 0 in
-      if n <= threshold then
-        if ka >= kb then mul_sb ~dst ~doff:0 a 0 ka b 0 kb
-        else mul_sb ~dst ~doff:0 b 0 kb a 0 ka
-      else begin
-        let pad x kx =
-          if kx = n then x
-          else begin
-            let r = Array.make n 0 in
-            Array.blit x 0 r 0 kx;
-            r
-          end
-        in
-        let scr = Array.make (kar_scratch_size n) 0 in
-        mul_kar ~th:threshold ~scr ~soff:0 ~dst ~doff:0 (pad a ka) 0 (pad b kb) 0 n
-      end;
-      dst
-
-    let sqr_limbs ~threshold a =
-      let n = Array.length a in
-      if threshold < 1 then invalid_arg "Wide.Internal.sqr_limbs: threshold < 1";
-      let dst = Array.make (2 * n) 0 in
-      if n <= threshold then sqr_sb ~dst ~doff:0 a 0 n
-      else begin
-        let scr = Array.make (kar_scratch_size n) 0 in
-        sqr_kar ~th:threshold ~scr ~soff:0 ~dst ~doff:0 a 0 n
-      end;
-      dst
+let powm_loaded t sc sched ~dst =
+  check_width t sc;
+  Tangled_obs.Obs.observe modpow_bits (float_of_int sched.s_bits);
+  let k = t.k in
+  if sched.s_bits = 0 then begin
+    (* the modulus exceeds 1, so 1 is already reduced *)
+    Array.fill dst 0 k 0;
+    dst.(0) <- 1
   end
-end
+  else begin
+    let cur =
+      if sparse_profitable sched then sparse_walk t sc sched else window_walk t sc sched
+    in
+    (* out of Montgomery form: one REDC of the bare value *)
+    Array.fill sc.prod 0 ((2 * k) + 1) 0;
+    Array.blit cur 0 sc.prod 0 k;
+    redc ~n:t.n ~k ~n0':t.n0' ~dst sc.prod
+  end
+
+let powm t sc sched b =
+  let b =
+    if B.sign b < 0 || B.bit_length b > 2 * t.k * wbits then B.erem b t.modulus else b
+  in
+  load_base_bytes t sc (B.to_bytes_be b);
+  powm_loaded t sc sched ~dst:sc.t0;
+  unpack sc.t0
+
+let modpow t b e =
+  if B.sign e < 0 then invalid_arg "Montgomery.modpow: negative exponent";
+  powm t (scratch t) (schedule e) b
+
+(* --- RSA-CRT plumbing ---------------------------------------------------------- *)
+
+let to_mont_limbs t sc x =
+  let r = Array.make t.k 0 in
+  mul t sc ~dst:r x t.r2;
+  r
+
+(* sig = m2 + q·(qinv·(m1 - m2) mod p), with qinv held in Montgomery
+   form so the modular multiply is one kernel call, and the final
+   q-multiply a plain 2k-limb product scan with m2 folded into its low
+   columns.  q < 2p, so m2 mod p is at most one subtraction away. *)
+let crt_combine ~pctx ~psc ~qinv_m ~qlimbs ~m1 ~m2 ~out =
+  let k = pctx.k and n = pctx.n in
+  (* t0 := m2 mod p *)
+  if ge_from m2 n (k - 1) then ignore (sub_limbs ~k ~dst:psc.t0 m2 n : int)
+  else Array.blit m2 0 psc.t0 0 k;
+  (* t1 := (m1 - t0) mod p *)
+  if sub_limbs ~k ~dst:psc.t1 m1 psc.t0 <> 0 then begin
+    let c = ref 0 in
+    for j = 0 to k - 1 do
+      let s = psc.t1.(j) + n.(j) + !c in
+      psc.t1.(j) <- s land wmask;
+      c := s lsr wbits
+    done
+  end;
+  (* t0 := qinv·(m1 - m2) mod p: Montgomery-form qinv against the
+     plain difference gives the plain product *)
+  mul pctx psc ~dst:psc.t0 qinv_m psc.t1;
+  (* prod := t0·q + m2 *)
+  let prod = psc.prod and h = psc.t0 in
+  let acc = ref 0 in
+  for i = 0 to (2 * k) - 2 do
+    let s = ref (if i < k then !acc + Array.unsafe_get m2 i else !acc) in
+    for j = (if i - k + 1 > 0 then i - k + 1 else 0) to (if i < k - 1 then i else k - 1) do
+      s := !s + (Array.unsafe_get h j * Array.unsafe_get qlimbs (i - j))
+    done;
+    Array.unsafe_set prod i (!s land wmask);
+    acc := !s lsr wbits
+  done;
+  Array.unsafe_set prod ((2 * k) - 1) !acc;
+  write_bytes_be prod (2 * k) out

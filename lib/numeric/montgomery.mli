@@ -1,43 +1,41 @@
-(** Montgomery-form modular arithmetic for odd moduli.
+(** Montgomery-form modular exponentiation for odd moduli.
 
     A context precomputes everything exponentiation needs for one
-    modulus — the limb-wise inverse [-m⁻¹ mod 2^26] and [R² mod m] —
-    so repeated operations against the same modulus (every signature a
-    CA issues or verifies) pay the setup once.  {!modpow} then runs
-    fixed-window (4-bit) square-and-multiply where each modular product
-    is a single division-free CIOS pass instead of a schoolbook multiply
-    followed by a Knuth division.
+    modulus — the limb-wise inverse [-m⁻¹ mod 2^28], [R² mod m] and
+    [R³ mod m] — so repeated operations against the same modulus (every
+    signature a CA issues or verifies) pay the setup once.  Operands
+    live in 28-bit limbs, and each modular product is one
+    division-free pass that fuses the multiply with its reduction.
 
-    {!Bigint.modpow} remains the reference oracle; the test suite
-    cross-checks the two on random inputs, and results are bit-exact.
+    A {!schedule} hoists an exponent's window digits and popcount out
+    of the loop, and a {!scratch} preallocates every buffer the walk
+    needs, so repeated exponentiations reuse them.  {!powm} picks a sparse
+    square-and-multiply walk for low-weight exponents like 65537 and a
+    fixed 4-bit window walk otherwise.  Every exponentiation records
+    its exponent width once in the [montgomery.modpow_bits] histogram.
 
-    On top of {!modpow} sits a precompute layer for hot keys.  A
-    {!schedule} hoists an exponent's window digits (and popcount) out
-    of the loop, a {!scratch} preallocates every buffer so repeated
-    exponentiations allocate nothing, {!powm_auto} picks a sparse
-    square-and-multiply walk for low-weight exponents like 65537, and
-    384-bit CRT halves (k = 8 limbs, the Notary corpus default)
-    dispatch to fully unrolled straight-line kernels.  {!Fixed_base}
-    precomputes per-window digit tables of one repeated base, turning
-    exponentiation into ~bits/4 multiplies with no squarings.  All of
-    these return exactly what {!modpow} returns. *)
+    {!Bigint.modpow} remains the independent oracle; the test suite
+    cross-checks the two at every width up to {!max_bits}, and results
+    are bit-exact. *)
 
 type t
 (** A reusable context for one odd modulus [> 1]. *)
 
-val create : Bigint.t -> t
-(** [create m] precomputes a context for modulus [m].
-    @raise Invalid_argument unless [m] is odd, positive and [> 1]. *)
+val max_bits : int
+(** 3 528: the widest modulus a context carries (126 limbs). *)
 
-val modulus : t -> Bigint.t
+val create : ?limbs:int -> Bigint.t -> t
+(** [create m] precomputes a context for modulus [m].  [limbs] widens
+    the context past [m]'s own limb count, so two moduli of different
+    widths can share one operand width (RSA-CRT halves of an odd-width
+    key).
+    @raise Invalid_argument unless [m] is odd, positive, [> 1] and at
+    most {!max_bits} wide. *)
 
-val modpow : t -> Bigint.t -> Bigint.t -> Bigint.t
-(** [modpow t b e] is [b^e mod (modulus t)] for non-negative [e];
-    [b] may be negative or exceed the modulus (it is reduced first).
-    Agrees exactly with [Bigint.modpow b e (modulus t)].
-    @raise Invalid_argument on negative [e]. *)
+val limbs : t -> int
+(** The context's limb count [k]: [R = 2^(28k)]. *)
 
-(** {1 Precomputed-exponent fast path} *)
+(** {1 Exponentiation} *)
 
 type schedule
 (** A fixed exponent's window digits, bit length and popcount,
@@ -47,152 +45,68 @@ type schedule
 val schedule : Bigint.t -> schedule
 (** @raise Invalid_argument on a negative exponent. *)
 
-val schedule_bits : schedule -> int
-
 type scratch
 (** Preallocated working set (ping-pong accumulators, window table,
-    conversion buffers) for one context width.  Single-domain: share
-    a scratch between concurrent users and results are garbage. *)
+    double-width REDC buffer) for one context width.  Single-domain:
+    share a scratch between concurrent users and results are garbage. *)
 
 val scratch : t -> scratch
 
 val powm : t -> scratch -> schedule -> Bigint.t -> Bigint.t
-(** [powm t sc sched b] = [modpow t b e] for the [e] behind [sched],
-    allocating only the result.
+(** [powm t sc sched b] is [b^e mod m] for the context's modulus [m]
+    and the [e] behind [sched]; [b] may be negative or exceed the
+    modulus (it is reduced first).  Agrees exactly with
+    [Bigint.modpow b e m].
     @raise Invalid_argument if [sc] was built for another width. *)
 
-val powm_sparse : t -> scratch -> schedule -> Bigint.t -> Bigint.t
-(** Table-free square-and-multiply — cheaper than {!powm} for short
-    or low-weight exponents (65537: 16 squarings + 1 multiply instead
-    of a 14-multiply table build). Same result. *)
+val modpow : t -> Bigint.t -> Bigint.t -> Bigint.t
+(** [modpow t b e] is {!powm} with a one-shot schedule and scratch.
+    @raise Invalid_argument on negative [e]. *)
 
-val powm_auto : t -> scratch -> schedule -> Bigint.t -> Bigint.t
-(** {!powm_sparse} when the exponent's popcount makes it cheaper,
-    {!powm} otherwise. *)
+(** {1 RSA plumbing on bare limbs}
 
-(** {1 Fixed-base comb} *)
+    The RSA sign and verify paths work on bare limb arrays, so a
+    per-key context turns message bytes into signature bytes without
+    touching {!Bigint}. *)
 
-module Fixed_base : sig
-  type fb
-  (** Per-window digit tables [b^(d·16^w)] for one fixed base: an
-      exponentiation against the table is a product of one entry per
-      nonzero window digit — no squarings at all.  Building the table
-      costs ~[bits] squarings plus 14 multiplies per window, so it
-      pays for itself after a handful of calls with the same base. *)
+val limbs_of_bigint : t -> Bigint.t -> int array
+(** Pack a non-negative value below [R] into the context's [k] limbs
+    (allocates; meant for per-key precomputes).
+    @raise Invalid_argument out of range. *)
 
-  val precompute : t -> Bigint.t -> bits:int -> fb
-  (** [precompute t b ~bits] tables [b] for exponents up to [bits]
-      wide.  @raise Invalid_argument if [bits < 1]. *)
+val to_mont_limbs : t -> scratch -> int array -> int array
+(** Montgomery form of a packed [k]-limb value (allocates the result;
+    meant for once-per-key precomputes like [qinv·R mod p]). *)
 
-  val bits : fb -> int
+val load_base_bytes : t -> scratch -> string -> unit
+(** Pack a big-endian byte string at most [2k] limbs wide (the 384-bit
+    EMSA block against a 192-bit CRT prime) and convert it to
+    Montgomery form without division, leaving the base in the scratch
+    for {!powm_loaded}.
+    @raise Invalid_argument on a wider value or a scratch of another
+    width. *)
 
-  val powm : fb -> schedule -> Bigint.t
-  (** [powm fb sched] = [modpow t b e] for the tabled base [b] and
-      the exponent behind [sched].
-      @raise Invalid_argument if the exponent is wider than [bits fb]. *)
-end
+val powm_loaded : t -> scratch -> schedule -> dst:int array -> unit
+(** The exponentiation walk behind {!powm}, over the base left by
+    {!load_base_bytes}; writes the plain (out-of-Montgomery-form),
+    fully reduced [k]-limb result to [dst]. *)
 
-(** {1 Wide-limb kernel plane} *)
+val write_bytes_be : int array -> int -> bytes -> unit
+(** [write_bytes_be limbs nlimbs out] serialises the value in the
+    first [nlimbs] limbs big-endian, exactly filling [out]
+    (zero-padded on the left; the value must fit). *)
 
-module Wide : sig
-  (** A second, internal limb plane for the multiplication-bound hot
-      paths: magnitudes repacked from the public 26-bit representation
-      into 28-bit limbs (products < 2^56 leave 7 headroom bits, so
-      column accumulation stays single-word up to 31 limbs / 868 bits),
-      with schoolbook product-scanning below {!Internal.karatsuba_threshold}
-      limbs and subtractive Karatsuba above it, followed by a
-      word-by-word REDC pass that is valid at any width.
-
-      Everything here returns exactly what the 26-bit plane returns;
-      the test suite cross-checks both against {!Bigint.modpow}. *)
-
-  type t
-  (** Context for one odd modulus [> 1] on the 28-bit plane. *)
-
-  val create : Bigint.t -> t
-  (** @raise Invalid_argument unless the modulus is odd and [> 1]. *)
-
-  val modulus : t -> Bigint.t
-
-  val k : t -> int
-  (** Limb count of the context's plane. *)
-
-  type wscratch
-  (** Preallocated working set (ping-pong accumulators, window table,
-      double-width product buffer, Karatsuba arena).  Single-domain. *)
-
-  val scratch : t -> wscratch
-
-  val powm : t -> wscratch -> schedule -> Bigint.t -> Bigint.t
-  (** Fixed-window walk; equals the 26-bit {!powm} bit for bit.
-      @raise Invalid_argument if the scratch is for another width. *)
-
-  val powm_sparse : t -> wscratch -> schedule -> Bigint.t -> Bigint.t
-  val powm_auto : t -> wscratch -> schedule -> Bigint.t -> Bigint.t
-
-  (** {2 Allocation-free RSA-CRT plumbing}
-
-      The signing path works on bare limb arrays so a per-key context
-      can sign into a caller-owned buffer with zero allocation. *)
-
-  val limbs_of_bigint : t -> Bigint.t -> int array
-  (** Pack a non-negative value fitting the plane to the context's [k]
-      28-bit limbs (allocates; meant for per-key precomputes).
-      @raise Invalid_argument out of range. *)
-
-  val load_base_bytes : t -> wscratch -> string -> unit
-  (** Pack a big-endian byte string (at most [2k] limbs wide — the
-      384-bit EMSA block against a 192-bit CRT prime) and convert to
-      Montgomery form without division, leaving the loaded base in the
-      scratch for the [_loaded] walks.
-      @raise Invalid_argument on a wider value. *)
-
-  val powm_loaded : t -> wscratch -> schedule -> dst:int array -> unit
-  (** Windowed walk over the base left by {!load_base_bytes}; writes
-      the plain (out-of-Montgomery-form) [k]-limb result to [dst]. *)
-
-  val powm_sparse_loaded : t -> wscratch -> schedule -> dst:int array -> unit
-  val powm_auto_loaded : t -> wscratch -> schedule -> dst:int array -> unit
-
-  val write_bytes_be : int array -> int -> bytes -> unit
-  (** [write_bytes_be limbs nlimbs out] serialises the value in the
-      first [nlimbs] limbs big-endian, exactly filling [out]
-      (zero-padded on the left; the value must fit). *)
-
-  val to_mont_limbs : t -> wscratch -> int array -> int array
-  (** Montgomery form of a packed [k]-limb value (allocates the
-      result; meant for once-per-key precomputes like [qinv·R mod p]). *)
-
-  val crt_combine :
-    pctx:t ->
-    psc:wscratch ->
-    qinv_m:int array ->
-    qlimbs:int array ->
-    m1:int array ->
-    m2:int array ->
-    out:bytes ->
-    unit
-  (** Garner recombination [m2 + q·(qinv·(m1 − m2) mod p)] entirely on
-      the 28-bit plane, writing the signature big-endian into [out]
-      (whose length fixes the output width).  Requires [p] and [q] of
-      equal bit length (so [q < 2p]) with [m1 < p], [m2 < q]. *)
-
-  (** {2 Test hooks} *)
-
-  module Internal : sig
-    val karatsuba_threshold : int
-    val integrated_max_k : int
-
-    val pack : Bigint.t -> int array
-    (** 28-bit limbs of a non-negative value, little-endian. *)
-
-    val unpack : int array -> Bigint.t
-
-    val mul_limbs : threshold:int -> int array -> int array -> int array
-    (** Full product with an explicit schoolbook/Karatsuba cutover;
-        operands may have different lengths.  The cross-oracle for the
-        QCheck [karatsuba = schoolbook] property. *)
-
-    val sqr_limbs : threshold:int -> int array -> int array
-  end
-end
+val crt_combine :
+  pctx:t ->
+  psc:scratch ->
+  qinv_m:int array ->
+  qlimbs:int array ->
+  m1:int array ->
+  m2:int array ->
+  out:bytes ->
+  unit
+(** Garner recombination [m2 + q·(qinv·(m1 − m2) mod p)] on [p]'s
+    context, writing the signature big-endian into [out] (whose length
+    fixes the output width).  [qinv_m] is [qinv] in [p]'s Montgomery
+    form, [qlimbs] is [q] packed at [p]'s limb count, and [m1 < p],
+    [m2 < q < 2p]. *)

@@ -58,7 +58,7 @@ let miller_rabin ~rounds rng n =
   (* true when [a] witnesses compositeness of [n] *)
   let witness a =
     Obs.incr c_mr_modpows;
-    let x = Montgomery.powm_auto ctx scr sched a in
+    let x = Montgomery.powm ctx scr sched a in
     if Bigint.equal x Bigint.one || Bigint.equal x n1 then false
     else begin
       let rec squarings i x =
@@ -80,8 +80,11 @@ let miller_rabin ~rounds rng n =
   in
   rounds_loop 0
 
+let too_wide = "Prime: candidate wider than Montgomery.max_bits"
+
 let is_probably_prime ?(rounds = 20) rng n =
   if Bigint.sign n <= 0 then false
+  else if Bigint.bit_length n > Montgomery.max_bits then invalid_arg too_wide
   else
     match Bigint.to_int_opt n with
     | Some v when v <= largest_small_prime -> is_small_prime v
@@ -93,6 +96,7 @@ let is_probably_prime ?(rounds = 20) rng n =
 
 let generate ?(rounds = 20) rng ~bits =
   if bits < 2 then invalid_arg "Prime.generate: need at least 2 bits";
+  if bits > Montgomery.max_bits then invalid_arg too_wide;
   let top = Bigint.shift_left Bigint.one (bits - 1) in
   let rec attempt () =
     let r = Bigint.random_bits rng (bits - 1) in

@@ -17,7 +17,10 @@ val is_probably_prime : ?rounds:int -> Tangled_util.Prng.t -> Bigint.t -> bool
 (** Miller–Rabin test with [rounds] random bases (default 20) after a
     small-factor sieve, which draws nothing.  Deterministically
     correct for candidates below the small-prime bound; otherwise the
-    error probability is at most [4^-rounds]. *)
+    error probability is at most [4^-rounds].  Miller–Rabin runs on
+    {!Montgomery.powm}.
+    @raise Invalid_argument if a positive [n] is wider than
+    {!Montgomery.max_bits}. *)
 
 val generate : ?rounds:int -> Tangled_util.Prng.t -> bits:int -> Bigint.t
 (** [generate rng ~bits] is a random probable prime with exactly [bits]
@@ -30,4 +33,4 @@ val generate : ?rounds:int -> Tangled_util.Prng.t -> bits:int -> Bigint.t
     [rounds] is passed to {!is_probably_prime}
     (default 20; the PKI generator uses fewer — random candidates fail
     Miller–Rabin far more often than the worst-case 4{^-rounds} bound).
-    @raise Invalid_argument if [bits < 2]. *)
+    @raise Invalid_argument if [bits < 2] or [bits > Montgomery.max_bits]. *)

@@ -34,6 +34,11 @@ let test_keygen_too_small () =
   Alcotest.check_raises "below 64" (Invalid_argument "Rsa.generate: modulus below 64 bits")
     (fun () -> ignore (Rsa.generate (Prng.create 1) ~bits:32))
 
+let test_keygen_too_large () =
+  Alcotest.check_raises "above 3528"
+    (Invalid_argument "Rsa.generate: modulus above 3528 bits")
+    (fun () -> ignore (Rsa.generate (Prng.create 1) ~bits:3529))
+
 let test_sign_verify () =
   let key = Lazy.force key512 in
   let msg = "the tangled mass of android root stores" in
@@ -90,11 +95,75 @@ let test_384_sha256_too_small () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* textbook RSA on the division-based oracle: d inverts e *)
 let test_raw_roundtrip () =
   let key = Lazy.force key512 in
-  let msg = "\x01secret payload" in
-  let ct = Rsa.encrypt_raw key.Rsa.pub msg in
-  check Alcotest.string "roundtrip" msg (Rsa.decrypt_raw key ct)
+  let n = key.Rsa.pub.Rsa.n in
+  let m = B.of_bytes_be "\x01secret payload" in
+  let c = B.modpow m key.Rsa.pub.Rsa.e n in
+  Alcotest.(check bool) "ciphertext differs" false (B.equal c m);
+  Alcotest.(check bool) "roundtrip" true (B.equal m (B.modpow c key.Rsa.d n))
+
+(* EMSA-PKCS1-v1_5 written out from RFC 8017 §9.2, independently of
+   Rsa: 0x00 0x01, 0xff padding, 0x00, DigestInfo *)
+let emsa ~digest msg k =
+  let prefix =
+    match digest with
+    | Dk.MD5 -> "3020300c06082a864886f70d020505000410"
+    | Dk.SHA1 -> "3021300906052b0e03021a05000414"
+    | Dk.SHA256 -> "3031300d060960864801650304020105000420"
+  in
+  let t = Tangled_util.Hex.decode prefix ^ Dk.digest digest msg in
+  "\x00\x01" ^ String.make (k - 3 - String.length t) '\xff' ^ "\x00" ^ t
+
+(* Rsa.sign against EM^d mod n on the division-based oracle.  The
+   widths cover the Notary default (384), odd widths whose CRT primes
+   differ by a bit (385) or by a limb (393), and widths whose primes
+   (1036, 1792, 2072) or modulus (1036) fill their top 28-bit limb *)
+let test_sign_matches_oracle () =
+  let rng = Prng.create 2072 in
+  List.iter
+    (fun bits ->
+      let key = Rsa.generate ~mr_rounds:6 rng ~bits in
+      let pub = key.Rsa.pub in
+      let k = Rsa.key_size_bytes pub in
+      let digest = if bits < 512 then Dk.SHA1 else Dk.SHA256 in
+      for i = 1 to 3 do
+        let msg = Printf.sprintf "oracle %d at %d bits" i bits in
+        let want = B.modpow (B.of_bytes_be (emsa ~digest msg k)) key.Rsa.d pub.Rsa.n in
+        let signature = Rsa.sign key ~digest msg in
+        check Alcotest.int "signature length" k (String.length signature);
+        Alcotest.(check bool)
+          (Printf.sprintf "sign = EM^d mod n at %d bits" bits)
+          true
+          (B.equal want (B.of_bytes_be signature));
+        Alcotest.(check bool)
+          (Printf.sprintf "verify accepts at %d bits" bits)
+          true
+          (Rsa.verify pub ~digest ~msg ~signature);
+        let flipped = Bytes.of_string signature in
+        Bytes.set flipped (k - 1) (Char.chr (Char.code (Bytes.get flipped (k - 1)) lxor 1));
+        Alcotest.(check bool)
+          (Printf.sprintf "verify rejects a flipped bit at %d bits" bits)
+          false
+          (Rsa.verify pub ~digest ~msg ~signature:(Bytes.to_string flipped))
+      done)
+    [ 384; 385; 393; 512; 1024; 1036; 1792; 2048; 2072 ]
+
+(* the verify contexts are cached by modulus: a key that pairs a
+   cached modulus with another exponent must not borrow its context *)
+let test_verify_follows_exponent () =
+  let key = Lazy.force key512 in
+  let pub = key.Rsa.pub in
+  let msg = "exponent" in
+  let em = emsa ~digest:Dk.SHA256 msg (Rsa.key_size_bytes pub) in
+  let e1 = Rsa.make_public ~n:pub.Rsa.n ~e:B.one in
+  Alcotest.(check bool) "e = 1 accepts EM itself" true
+    (Rsa.verify e1 ~digest:Dk.SHA256 ~msg ~signature:em);
+  Alcotest.(check bool) "the real key does not" false
+    (Rsa.verify pub ~digest:Dk.SHA256 ~msg ~signature:em);
+  Alcotest.(check bool) "and still accepts its own signature" true
+    (Rsa.verify pub ~digest:Dk.SHA256 ~msg ~signature:(Rsa.sign key ~digest:Dk.SHA256 msg))
 
 let test_modulus_bytes () =
   let key = Lazy.force key512 in
@@ -125,12 +194,15 @@ let suite =
   [
     ("keygen structure", `Quick, test_keygen_structure);
     ("keygen minimum size", `Quick, test_keygen_too_small);
+    ("keygen maximum size", `Quick, test_keygen_too_large);
     ("sign and verify (all digests)", `Quick, test_sign_verify);
     ("verify rejects malformed input", `Quick, test_verify_malformed);
     ("cross-key rejection", `Quick, test_cross_key_rejection);
     ("384-bit with SHA-1", `Quick, test_384_sha1);
     ("384-bit refuses SHA-256", `Quick, test_384_sha256_too_small);
     ("raw encrypt/decrypt", `Quick, test_raw_roundtrip);
+    ("sign = EM^d mod n (384-2072 bits)", `Slow, test_sign_matches_oracle);
+    ("verify context follows the exponent", `Quick, test_verify_follows_exponent);
     ("modulus bytes", `Quick, test_modulus_bytes);
     ("deterministic keygen", `Quick, test_deterministic_keygen);
     qtest prop_sign_verify;

@@ -93,6 +93,40 @@ let test_cert_signature_verification () =
   Alcotest.(check bool) "leaf not by root" false
     (C.verify_signature leaf ~issuer_key:root.Authority.key.Tangled_crypto.Rsa.pub)
 
+(* DER INTEGERs are signed, so an SPKI can carry a negative or zero
+   public exponent: verification under such a key must answer false,
+   not raise, even over a signature the genuine key accepts *)
+let test_nonpositive_exponent () =
+  let module Rsa = Tangled_crypto.Rsa in
+  let root = Lazy.force root in
+  let rc = root.Authority.certificate in
+  List.iter
+    (fun e ->
+      let public_key = Rsa.make_public ~n:rc.C.public_key.Rsa.n ~e:(B.of_int e) in
+      let tbs_der =
+        C.build_tbs ~version:3 ~serial:(B.of_int 7) ~signature_alg:Dk.SHA256
+          ~issuer:rc.C.subject ~not_before:rc.C.not_before ~not_after:rc.C.not_after
+          ~subject:rc.C.subject ~public_key ~extensions:C.no_extensions
+      in
+      let signature = Rsa.sign root.Authority.key ~digest:Dk.SHA256 tbs_der in
+      match C.assemble ~tbs_der ~signature_alg:Dk.SHA256 ~signature with
+      | Error msg -> Alcotest.failf "assemble with e = %d: %s" e msg
+      | Ok cert ->
+          Alcotest.(check bool)
+            (Printf.sprintf "SPKI carries e = %d" e)
+            true
+            (B.equal cert.C.public_key.Rsa.e (B.of_int e));
+          Alcotest.(check bool)
+            (Printf.sprintf "e = %d does not verify" e)
+            false
+            (C.verify_signature cert ~issuer_key:cert.C.public_key);
+          Alcotest.(check bool)
+            (Printf.sprintf "e = %d is not self-signed" e)
+            false (C.is_self_signed cert);
+          Alcotest.(check bool) "the genuine key accepts the signature" true
+            (C.verify_signature cert ~issuer_key:rc.C.public_key))
+    [ -1; 0 ]
+
 let test_validity_window () =
   let cert = Lazy.force leaf in
   Alcotest.(check bool) "valid inside" true (C.valid_at cert (Ts.of_date 2014 4 1));
@@ -216,6 +250,7 @@ let suite =
     ("certificate garbage rejection", `Quick, test_cert_decode_garbage);
     ("certificate predicates", `Quick, test_cert_predicates);
     ("signature verification", `Quick, test_cert_signature_verification);
+    ("non-positive SPKI exponent", `Quick, test_nonpositive_exponent);
     ("validity window", `Quick, test_validity_window);
     ("equivalence vs byte identity", `Quick, test_identities);
     ("v1 legacy certificates", `Quick, test_v1_certificate);
