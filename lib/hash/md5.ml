@@ -1,8 +1,9 @@
 (* RFC 1321 MD5 on unboxed native ints (little-endian message layout);
    same streaming-context design as {!Sha256}.  The sine-derived
    constant table is computed at load time from the spec's defining
-   formula rather than transcribed.  [Reference.Md5] keeps the old
-   boxed implementation as the oracle. *)
+   formula rather than transcribed.  The old boxed implementation
+   lives on in test/hash_oracle.ml as the oracle, and test_hash pins
+   this core at zero minor-heap words per block. *)
 
 let mask32 = 0xFFFFFFFF
 
@@ -47,9 +48,8 @@ let compress ctx str off =
       lor (Char.code (String.unsafe_get str (j + 3)) lsl 24))
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  (* Four unrolled 16-round passes.  The fused single loop bound the
-     round function and schedule index as [let f, g = ...], which boxes
-     a tuple every round without flambda — 64 allocations per block. *)
+  (* Four unrolled 16-round passes, one per round function, so no round
+     branches on its index. *)
   for i = 0 to 15 do
     let bv = !b and dv = !d in
     let f = (bv land !c) lor (lnot bv land mask32 land dv) in

@@ -1,7 +1,7 @@
 (* FIPS 180-4 SHA-1 on unboxed native ints; same streaming-context
    design as {!Sha256} (32-bit values in 63-bit ints, unsafe char
-   loads, only a sub-block tail ever copied).  [Reference.Sha1] keeps
-   the old boxed implementation as the oracle. *)
+   loads, only a sub-block tail ever copied).  The old boxed
+   implementation lives on in test/hash_oracle.ml as the oracle. *)
 
 let mask32 = 0xFFFFFFFF
 

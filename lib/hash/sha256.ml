@@ -15,8 +15,8 @@
    assignment.  The incremental context API hashes straight out of the
    caller's buffer: full blocks are compressed in place and only a
    sub-block tail is ever copied (into the context's 64-byte carry
-   buffer), so no call pads or copies the message.  [Reference.Sha256]
-   keeps the old boxed implementation as the oracle. *)
+   buffer), so no call pads or copies the message.  The old boxed
+   implementation lives on in test/hash_oracle.ml as the oracle. *)
 
 let mask32 = 0xFFFFFFFF
 

@@ -44,12 +44,7 @@ let key_pool_size = 32
    is a self-check, not new information; the sample keeps the check
    honest (an audited chain that fails to verify aborts generation)
    while removing the dominant non-signing cost.  Sampling is by chain
-   index, so the arena is byte-identical at any [jobs] and to a
-   non-lean run.  [set_lean false] restores the verify-everything
-   path for the bench's before/after pairs. *)
-let lean_on = Atomic.make true
-let set_lean b = Atomic.set lean_on b
-let lean_enabled () = Atomic.get lean_on
+   index, so the arena is byte-identical at any [jobs]. *)
 let audit_interval = 64
 
 (* chains built (boxed) per streaming batch before they are appended to
@@ -211,20 +206,19 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
     in
     let inters = if via then [ parent.Authority.certificate ] else [] in
     let anchor =
-      if lean_enabled () && j mod audit_interval <> 0 then
-        (* unaudited lean chain: anchor identity without the redundant
+      if j mod audit_interval <> 0 then
+        (* unaudited chain: anchor identity without the redundant
            self-verification (the per-issuer key is precomputed) *)
         Some anchor_keys.(issuer_i)
-      else begin
-        let r =
+      else
+        match
           verify_chain ~now ~issuer_root:authority.Authority.certificate inters
             leaf
-        in
-        if lean_enabled () && r = None then
-          failwith
-            (Printf.sprintf "Notary: sampled chain audit failed at index %d" j);
-        r
-      end
+        with
+        | None ->
+            failwith
+              (Printf.sprintf "Notary: sampled chain audit failed at index %d" j)
+        | r -> r
     in
     (leaf, anchor)
   in

@@ -5,7 +5,7 @@
     issues a scaled-down leaf population from the universe's active
     roots, with per-root volumes proportional to the traffic weights
     the blueprint derived from Table 3, then {e measures} everything
-    the paper measures — cryptographically verifying every chain once
+    the paper measures — anchoring every chain at its issuing root
     and aggregating per-root and per-store validation counts.
 
     {2 Streaming generation over a columnar arena}
@@ -68,7 +68,14 @@ val generate :
     traffic weights so every active root validates at least one
     certificate.  About half the chains go through an intermediate CA.
     [jobs] (default 1) bounds the worker domains used for the build
-    phase.  Deterministic in [seed], independent of [jobs]. *)
+    phase.  Deterministic in [seed], independent of [jobs].
+
+    Every chain's signatures were produced one stack frame up, so
+    generation cryptographically verifies a deterministic 1-in-64
+    sample by chain index (an audited chain that fails to verify
+    aborts generation) and anchors the rest at their issuer directly.
+    Leaves are assembled from the fields just encoded, never re-decoded
+    ({!Tangled_x509.Authority.issue_leaf}). *)
 
 val unexpired : t -> int
 val total : t -> int
@@ -137,13 +144,3 @@ val crosscheck : t -> Tangled_store.Root_store.t -> sample:int -> seed:int -> bo
     validator and compare with the arena's anchor-id membership
     shortcut; [true] when they agree everywhere.  Used by the test
     suite to justify the fast counting path. *)
-
-val set_lean : bool -> unit
-(** Toggle lean generation (on by default): cryptographically verify a
-    deterministic 1-in-64 sample of the chains it just signed instead
-    of every one (an audited chain that fails aborts generation), and
-    skip the redundant re-decode of freshly issued leaves.  The arena
-    is byte-identical either way and at any [jobs]; the toggle exists
-    for the bench's before/after pairs. *)
-
-val lean_enabled : unit -> bool

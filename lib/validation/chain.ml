@@ -50,14 +50,10 @@ let validate_sample_every = 8
 let validate_tick = Atomic.make 0
 
 (* process-global knobs: the store epoch (bumped on invalidation and
-   synced lazily into each per-domain cache), the capacity every new
-   per-domain instance is born with, and the enable flag the QCheck
-   cached-vs-uncached oracle and the bench ablations flip *)
+   synced lazily into each per-domain cache) and the capacity every new
+   per-domain instance is born with *)
 let store_epoch = Atomic.make 0
-let cache_enabled = Atomic.make true
 let cache_capacity = Atomic.make 8192
-
-let set_verify_cache_enabled b = Atomic.set cache_enabled b
 
 let set_verify_cache_capacity n =
   if n < 1 then invalid_arg "Chain.set_verify_cache_capacity: capacity must be >= 1";
@@ -81,36 +77,32 @@ let decision_cache () =
   !slot
 
 let verify_cert ~issuer cert =
-  let verify () =
-    Obs.time_histogram verify_latency (fun () ->
-        C.verify_signature cert ~issuer_key:issuer.C.public_key)
-  in
-  if not (Atomic.get cache_enabled) then verify ()
-  else begin
-    let key =
-      (* one streaming SHA-256 over the components gives a fixed
-         32-byte key instead of concatenating them (the old key also
-         digested the TBS separately, so this is one hash pass rather
-         than hash + concat) *)
-      let ctx = Tangled_hash.Sha256.init () in
-      let feed_delim s =
-        Tangled_hash.Sha256.feed ctx s;
-        Tangled_hash.Sha256.feed ctx "\x00"
-      in
-      feed_delim (C.equivalence_key issuer);
-      feed_delim (B.to_bytes_be issuer.C.public_key.Rsa.e);
-      feed_delim cert.C.tbs_der;
-      Tangled_hash.Sha256.feed ctx cert.C.signature;
-      Tangled_hash.Sha256.finalize ctx
+  let key =
+    (* one streaming SHA-256 over the components gives a fixed
+       32-byte key instead of concatenating them (the old key also
+       digested the TBS separately, so this is one hash pass rather
+       than hash + concat) *)
+    let ctx = Tangled_hash.Sha256.init () in
+    let feed_delim s =
+      Tangled_hash.Sha256.feed ctx s;
+      Tangled_hash.Sha256.feed ctx "\x00"
     in
-    let cache = decision_cache () in
-    match Cache.find cache key with
-    | Some verdict -> verdict
-    | None ->
-        let verdict = verify () in
-        Cache.add cache key verdict;
-        verdict
-  end
+    feed_delim (C.equivalence_key issuer);
+    feed_delim (B.to_bytes_be issuer.C.public_key.Rsa.e);
+    feed_delim cert.C.tbs_der;
+    Tangled_hash.Sha256.feed ctx cert.C.signature;
+    Tangled_hash.Sha256.finalize ctx
+  in
+  let cache = decision_cache () in
+  match Cache.find cache key with
+  | Some verdict -> verdict
+  | None ->
+      let verdict =
+        Obs.time_histogram verify_latency (fun () ->
+            C.verify_signature cert ~issuer_key:issuer.C.public_key)
+      in
+      Cache.add cache key verdict;
+      verdict
 
 let verify_cache_stats () =
   let s = Cache.stats (decision_cache ()) in

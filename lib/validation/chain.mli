@@ -25,13 +25,9 @@ val verify_cache_info : unit -> Tangled_cache.Cache.stats
 
 val clear_verify_cache : unit -> unit
 (** Bump the process-global store epoch: every domain's cached
-    verdicts become logically dead and are reclaimed lazily (bench
-    cold-path runs, store mutations). *)
-
-val set_verify_cache_enabled : bool -> unit
-(** Bypass the decision cache entirely when [false] (every call
-    verifies); decisions are byte-identical either way — the QCheck
-    cached-vs-uncached oracle pins this.  Default [true]. *)
+    verdicts become logically dead and are reclaimed lazily (cold-path
+    measurements, store mutations).  Verdicts are identical before and
+    after — the QCheck cached-vs-cleared oracle pins this. *)
 
 val set_verify_cache_capacity : int -> unit
 (** Capacity for per-domain caches (existing instances are rebuilt on

@@ -13,14 +13,6 @@ let default_not_after = Ts.of_date 2030 1 1
    modulus for every one of its hundreds of thousands of leaves *)
 let key_id pub = Rsa.modulus_sha1 pub
 
-(* [lean] issuance trusts the fields the issuer just encoded instead
-   of re-decoding its own DER output; byte-identical certificates
-   either way (the lean-vs-full arena identity test pins it).  The
-   toggle exists for the bench's before/after pairs. *)
-let lean_on = Atomic.make true
-let set_lean b = Atomic.set lean_on b
-let lean_enabled () = Atomic.get lean_on
-
 let sign_tbs ~key ~digest tbs_der = Rsa.sign key ~digest tbs_der
 
 let assemble_exn ~tbs_der ~signature_alg ~signature =
@@ -90,13 +82,11 @@ let issue_leaf ?(bits = 512) ?(serial = B.of_int 3) ?(digest = Dk.SHA256)
       ~public_key:key.pub ~extensions
   in
   let signature = sign_tbs ~key:parent.key ~digest tbs_der in
-  if lean_enabled () then
-    C.assemble_trusted ~version:3 ~serial ~signature_alg:digest
-      ~issuer:parent.certificate.C.subject ~not_before ~not_after ~subject:dn
-      ~public_key:key.pub ~extensions ~tbs_der ~signature
-  else
-    (assemble_exn ~tbs_der ~signature_alg:digest ~signature).C.raw |> fun raw ->
-    (match C.decode raw with Ok c -> c | Error m -> invalid_arg m)
+  (* trust the fields just encoded instead of re-decoding our own DER:
+     the bulk path issues hundreds of thousands of leaves *)
+  C.assemble_trusted ~version:3 ~serial ~signature_alg:digest
+    ~issuer:parent.certificate.C.subject ~not_before ~not_after ~subject:dn
+    ~public_key:key.pub ~extensions ~tbs_der ~signature
 
 let renew ?(serial = B.of_int 7) ?(not_before = default_not_before)
     ?(not_after = default_not_after) t =

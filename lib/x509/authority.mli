@@ -55,7 +55,9 @@ val issue_leaf :
   Dn.t ->
   Certificate.t
 (** An end-entity certificate signed by [parent].  The private key of a
-    leaf is not retained — the simulation never needs it. *)
+    leaf is not retained — the simulation never needs it.  The record
+    is built from the fields just encoded ({!Certificate.assemble_trusted}),
+    not re-decoded from the DER. *)
 
 val renew :
   ?serial:Tangled_numeric.Bigint.t ->
@@ -78,11 +80,3 @@ val reissue_as :
 (** [reissue_as ~parent cert] mints a certificate with [cert]'s subject,
     validity and DNS names but [parent]'s signature and a fresh key —
     exactly what an intercepting HTTPS proxy does on the fly (§7). *)
-
-val set_lean : bool -> unit
-(** Toggle lean leaf issuance (on by default): {!issue_leaf} builds the
-    certificate record from the fields it just encoded instead of
-    re-decoding its own DER.  Certificates are byte-identical either
-    way; the toggle exists for the bench's before/after pairs. *)
-
-val lean_enabled : unit -> bool

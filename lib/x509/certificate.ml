@@ -353,9 +353,9 @@ let assemble ~tbs_der ~signature_alg ~signature =
 (* The issuer already holds every field it just encoded into the TBS,
    so re-parsing its own output is pure overhead on the bulk-issuance
    path.  This constructor trusts the caller's fields and only splices
-   the outer SEQUENCE; [decode] of the resulting [raw] yields a
-   structurally equal record (the lean-vs-full arena identity test
-   pins this). *)
+   the outer SEQUENCE; [decode] of the resulting [raw] yields the
+   same record field for field (a QCheck property in test_x509 pins
+   this). *)
 let assemble_trusted ~version ~serial ~signature_alg ~issuer ~not_before
     ~not_after ~subject ~public_key ~extensions ~tbs_der ~signature =
   {

@@ -81,9 +81,9 @@ val assemble_trusted :
 (** Like {!assemble} but trusting the caller's fields instead of
     re-parsing the TBS it just encoded — for issuers on the bulk path
     whose [tbs_der] came from {!build_tbs} over these exact fields.
-    [decode (assemble_trusted ...).raw] is structurally equal (the
-    lean-vs-full arena identity test pins this); hand-rolled TBS bytes
-    must go through {!assemble}. *)
+    [decode (assemble_trusted ...).raw] gives back the same record
+    field for field (a QCheck property in test_x509 pins this);
+    hand-rolled TBS bytes must go through {!assemble}. *)
 
 val decode : string -> (t, string) result
 (** Parse a DER certificate. *)

@@ -120,9 +120,42 @@ let prop_matches_reference =
   QCheck.Test.make ~name:"unboxed cores match boxed reference" ~count:300
     QCheck.(string_of_size (QCheck.Gen.int_range 0 300))
     (fun s ->
-      Sha256.digest s = Reference.Sha256.digest s
-      && Sha1.digest s = Reference.Sha1.digest s
-      && Md5.digest s = Reference.Md5.digest s)
+      Sha256.digest s = Hash_oracle.Sha256.digest s
+      && Sha1.digest s = Hash_oracle.Sha1.digest s
+      && Md5.digest s = Hash_oracle.Md5.digest s)
+
+(* Minor-heap words one digest call allocates per extra 64-byte block:
+   the difference between a 65-block and a 1-block message, so the
+   fixed per-call cost (context, output string, the probe's own boxed
+   floats) cancels exactly. *)
+let words_per_block digest =
+  let short = String.make 64 'm' and long = String.make (65 * 64) 'm' in
+  let words msg =
+    ignore (digest msg);
+    let before = Gc.minor_words () in
+    ignore (digest msg);
+    Gc.minor_words () -. before
+  in
+  (words long -. words short) /. 64.0
+
+(* The unboxed cores exist to keep the round loop off the heap.  A
+   timed ratio against the boxed oracle could not hold that on a shared
+   host; the word count is exact, so it gates: zero words per block for
+   all three cores, and the boxed oracle must register as allocating,
+   proving the probe sees boxing. *)
+let test_cores_allocate_nothing_per_block () =
+  List.iter
+    (fun (name, digest) ->
+      check (Alcotest.float 0.0) (name ^ " words per block") 0.0
+        (words_per_block digest))
+    [ ("md5", Md5.digest); ("sha1", Sha1.digest); ("sha256", Sha256.digest) ];
+  List.iter
+    (fun (name, digest) ->
+      let w = words_per_block digest in
+      if w < 50.0 then
+        Alcotest.failf "boxed %s oracle reads %.1f words per block: the probe \
+                        cannot see boxing" name w)
+    [ ("md5", Hash_oracle.Md5.digest); ("sha256", Hash_oracle.Sha256.digest) ]
 
 (* feeding at arbitrary split points must equal the one-shot digest *)
 let prop_split_feed_equivalent =
@@ -202,5 +235,6 @@ let suite =
     qtest prop_sizes;
     qtest prop_sensitivity;
     qtest prop_matches_reference;
+    ("zero allocation per block", `Quick, test_cores_allocate_nothing_per_block);
     qtest prop_split_feed_equivalent;
   ]

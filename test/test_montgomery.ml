@@ -256,9 +256,9 @@ let test_width_sweep () =
       done)
     [ 64; 192; 384; 512; 868; 869; 896; 1024; 1036; 1764; 1765; 1792; 2048 ]
 
-(* the fold above 63 limbs and the plane's top width, at k = 63 (the
-   widest unfolded kernels), 64 (the narrowest folded ones) and 126
-   (the widest modulus the plane accepts).  All-ones moduli 2^(28k) - 1
+(* every limb count the plane carries, k = 1 .. 126: a dropped REDC
+   carry once lived at widths no test used, so the column bound is
+   enumerated rather than argued.  All-ones moduli 2^(28k) - 1
    take all-ones operands; a base of 2k all-ones limbs exceeds R·m and
    still loads through REDC.  All-ones operands leave the quotient
    digits small, though, so m = R - 3 also takes the base whose
@@ -291,7 +291,7 @@ let test_wide_sweep () =
       List.iter
         (fun e -> sweep_check ~what:(Printf.sprintf "R - 3, k = %d" k) m3 top e)
         [ ones 3; B.of_int 65537 ])
-    [ 63; 64; 126 ]
+    (List.init 126 (fun i -> i + 1))
 
 let suite =
   [

@@ -7,6 +7,7 @@ module C = Tangled_x509.Certificate
 module Authority = Tangled_x509.Authority
 module Notary = Tangled_notary.Notary
 module Pipeline = Tangled_core.Pipeline
+module Chain = Tangled_validation.Chain
 
 let check = Alcotest.check
 
@@ -128,27 +129,82 @@ let test_expired_excluded () =
   let v = Notary.validated_by_store n (u.BP.aosp PD.V4_4) in
   Alcotest.(check bool) "bounded by unexpired" true (v <= Notary.unexpired n)
 
-(* lean generation (sampled chain audit, trusted assembly) must be a
-   pure speedup: the arena — DER blob, columns, anchors — is
-   byte-identical to the verify-everything path *)
-let test_lean_full_arena_identity () =
+(* Generation trusts what it just built: leaves are assembled from
+   the fields it encoded, and only a 1-in-64 sample of chains is
+   verified.  Re-check every handle of a 2 000-leaf build from the
+   outside: the stored DER decodes, the decoded fields re-encode to
+   exactly those bytes, and the chain verifies, signature by
+   signature, up to the root its anchor column names. *)
+let test_every_handle_redecodes_and_verifies () =
   let u = universe () in
-  let gen () =
-    let n = Notary.generate ~leaves:2_000 ~jobs:2 ~seed:77 u in
-    Tangled_x509.Arena.digest (Notary.arena n)
+  let n = Notary.generate ~leaves:2_000 ~jobs:2 ~seed:77 u in
+  let arena = Notary.arena n in
+  let authority_by_key = Hashtbl.create 512 in
+  let add (a : Authority.t) =
+    Hashtbl.replace authority_by_key
+      (C.equivalence_key a.Authority.certificate)
+      a.Authority.certificate
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Notary.set_lean true;
-      Tangled_x509.Authority.set_lean true)
-    (fun () ->
-      Notary.set_lean true;
-      Tangled_x509.Authority.set_lean true;
-      let lean = gen () in
-      Notary.set_lean false;
-      Tangled_x509.Authority.set_lean false;
-      let full = gen () in
-      check Alcotest.string "arena digest identical" full lean)
+  Array.iter (fun (r : BP.root) -> add r.BP.authority) u.BP.roots;
+  Array.iter (fun (a, _) -> add a) u.BP.private_cas;
+  for i = 0 to Notary.total n - 1 do
+    let der = Tangled_x509.Arena.der arena i in
+    let c =
+      match C.decode der with
+      | Ok c -> c
+      | Error e -> Alcotest.failf "handle %d does not decode: %s" i e
+    in
+    let tbs =
+      C.build_tbs ~version:c.C.version ~serial:c.C.serial
+        ~signature_alg:c.C.signature_alg ~issuer:c.C.issuer
+        ~not_before:c.C.not_before ~not_after:c.C.not_after
+        ~subject:c.C.subject ~public_key:c.C.public_key
+        ~extensions:c.C.extensions
+    in
+    let reencoded =
+      (C.assemble_trusted ~version:c.C.version ~serial:c.C.serial
+         ~signature_alg:c.C.signature_alg ~issuer:c.C.issuer
+         ~not_before:c.C.not_before ~not_after:c.C.not_after
+         ~subject:c.C.subject ~public_key:c.C.public_key
+         ~extensions:c.C.extensions ~tbs_der:tbs ~signature:c.C.signature)
+        .C.raw
+    in
+    if reencoded <> der then Alcotest.failf "handle %d re-encodes differently" i;
+    let root =
+      match Notary.anchor_key n i with
+      | Some key -> Hashtbl.find authority_by_key key
+      | None -> Alcotest.failf "handle %d has no anchor" i
+    in
+    let path =
+      if Tangled_x509.Arena.via_intermediate arena i then
+        [ n.Notary.inter_certs.(Tangled_x509.Arena.issuer_id arena i); root ]
+      else [ root ]
+    in
+    let rec verifies cert = function
+      | [] -> true
+      | issuer :: rest ->
+          C.verify_signature cert ~issuer_key:issuer.C.public_key
+          && verifies issuer rest
+    in
+    if not (verifies c path) then
+      Alcotest.failf "handle %d does not verify up to its anchor" i
+  done
+
+(* The audit is what the 1-in-64 sample saves, and it is a count: a
+   20 000-leaf build (22 000 chains with the expired tenth) makes
+   exactly 516 [Chain.verify_cert] lookups — one per signature on its
+   344 audited chains — at any [jobs].  Verifying every chain makes
+   32 985. *)
+let test_audit_lookup_count () =
+  let u = Lazy.force BP.default in
+  let lookups jobs =
+    let h0, m0 = Chain.verify_cache_stats () in
+    ignore (Notary.generate ~leaves:20_000 ~jobs ~seed:4 u);
+    let h1, m1 = Chain.verify_cache_stats () in
+    h1 - h0 + (m1 - m0)
+  in
+  check Alcotest.int "verify_cert lookups at jobs 1" 516 (lookups 1);
+  check Alcotest.int "verify_cert lookups at jobs 2" 516 (lookups 2)
 
 let suite =
   [
@@ -163,5 +219,7 @@ let suite =
     ("counts_for_certs", `Quick, test_counts_for_certs);
     ("Table 4 zero fractions", `Quick, test_zero_fraction_targets);
     ("expired excluded", `Quick, test_expired_excluded);
-    ("lean vs full arena identity", `Slow, test_lean_full_arena_identity);
+    ("every handle re-decodes and verifies", `Slow,
+     test_every_handle_redecodes_and_verifies);
+    ("audit verifies 1 chain in 64", `Slow, test_audit_lookup_count);
   ]

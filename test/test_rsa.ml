@@ -176,6 +176,41 @@ let test_deterministic_keygen () =
   let k2 = Rsa.generate ~mr_rounds:8 (Prng.create 555) ~bits:384 in
   Alcotest.(check bool) "same seed, same key" true (B.equal k1.Rsa.pub.Rsa.n k2.Rsa.pub.Rsa.n)
 
+(* Minor-heap words per call once the key's contexts are warm,
+   averaged over a run of calls so the probe's own boxed floats
+   vanish below one word. *)
+let words_per_call f =
+  f ();
+  let calls = 64 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* rsa.ml keeps sign and verify close to their output: the digest,
+   the EMSA block, the context-cache key, the signature and one
+   exponent-width observation per walk — 167 words per 384-bit sign
+   and 165 per verify when measured.  The bound leaves a few words of
+   slack; rebuilding the signing context on every call costs far more
+   and fails it. *)
+let test_steady_state_allocation () =
+  let key = Lazy.force key384 in
+  let msg = "steady state" in
+  let signature = Rsa.sign key ~digest:Dk.SHA1 msg in
+  let bound = 176.0 in
+  List.iter
+    (fun (name, f) ->
+      let w = words_per_call f in
+      if w > bound then
+        Alcotest.failf "384-bit %s allocates %.1f minor words per call (bound %.0f)"
+          name w bound)
+    [
+      ("sign", fun () -> ignore (Rsa.sign key ~digest:Dk.SHA1 msg));
+      ( "verify",
+        fun () -> ignore (Rsa.verify key.Rsa.pub ~digest:Dk.SHA1 ~msg ~signature) );
+    ]
+
 let prop_sign_verify =
   QCheck.Test.make ~name:"sign/verify roundtrip" ~count:30 QCheck.string (fun msg ->
       let key = Lazy.force key512 in
@@ -205,6 +240,7 @@ let suite =
     ("verify context follows the exponent", `Quick, test_verify_follows_exponent);
     ("modulus bytes", `Quick, test_modulus_bytes);
     ("deterministic keygen", `Quick, test_deterministic_keygen);
+    ("steady-state allocation (384-bit)", `Quick, test_steady_state_allocation);
     qtest prop_sign_verify;
     qtest prop_signature_unique_per_message;
   ]

@@ -409,6 +409,84 @@ let test_warm_serve_cache_bounded () =
   let s = Serve.summary t in
   check Alcotest.bool "reconciled" true (Serve.reconciled s)
 
+(* The decision cache's whole promise, as counts: replaying a pinned
+   mixed corpus on a warm server answers every cacheable request
+   (validate, diff, coverage) from the cache — zero misses — and so
+   never reaches chain validation: zero [Chain.verify_cert] lookups.
+   A frozen clock keeps every deadline open, so no answer is a
+   timeout that would re-execute. *)
+let test_warm_replay_from_cache () =
+  let module BP = Tangled_pki.Blueprint in
+  let module Authority = Tangled_x509.Authority in
+  let module Chain = Tangled_validation.Chain in
+  let module Prng = Tangled_util.Prng in
+  let u = (world ()).Pipeline.universe in
+  let rng = Prng.create 424243 in
+  let chains =
+    Array.map
+      (fun (r : BP.root) ->
+        Tangled_util.Hex.encode
+          (Authority.issue_leaf ~bits:384 ~digest:Tangled_hash.Digest_kind.SHA1
+             rng ~parent:r.BP.authority ~dns_names:[ "replay.example" ]
+             (Tangled_x509.Dn.make "replay.example"))
+            .Tangled_x509.Certificate.raw)
+      (Array.sub u.BP.roots 0 8)
+  in
+  let stores = [| "aosp44"; "aosp42"; "mozilla"; "ios7"; "handset:1" |] in
+  (* (cacheable, frame) pairs *)
+  let draws =
+    List.init 300 (fun i ->
+        let id = ("id", J.Int i) in
+        match Prng.int rng 100 with
+        | k when k < 60 ->
+            ( true,
+              frame
+                [ id; ("op", J.String "validate");
+                  ("store", J.String (Prng.choose rng stores));
+                  ("chain", J.List [ J.String (Prng.choose rng chains) ]) ] )
+        | k when k < 80 ->
+            ( true,
+              frame
+                [ id; ("op", J.String "diff");
+                  ("store", J.String (Prng.choose rng stores));
+                  ("baseline", J.String "aosp44") ] )
+        | k when k < 90 ->
+            ( true,
+              frame
+                [ id; ("op", J.String "coverage");
+                  ("root", J.String u.BP.roots.(Prng.int rng 16).BP.display_name) ] )
+        | k when k < 95 -> (false, frame [ id; ("op", J.String "stores") ])
+        | _ -> (false, health i))
+  in
+  let corpus = List.map snd draws in
+  let cacheable = List.length (List.filter fst draws) in
+  let config =
+    { Serve.default_config with Serve.queue_capacity = 512; clock = (fun () -> 0.0) }
+  in
+  let t = server ~config () in
+  let replay () =
+    List.iter
+      (fun r ->
+        if status_of r <> Some "ok" then Alcotest.failf "non-ok response: %s" r)
+      (Serve.serve_burst t corpus)
+  in
+  let counts () =
+    let hits, misses =
+      match Serve.cache_stats t with
+      | Some s -> (s.Tangled_cache.Cache.hits, s.Tangled_cache.Cache.misses)
+      | None -> (0, 0)
+    in
+    let vh, vm = Chain.verify_cache_stats () in
+    (hits, misses, vh + vm)
+  in
+  replay ();
+  let h0, m0, v0 = counts () in
+  replay ();
+  let h1, m1, v1 = counts () in
+  check Alcotest.int "every cacheable request hits" cacheable (h1 - h0);
+  check Alcotest.int "no misses" 0 (m1 - m0);
+  check Alcotest.int "no chain verifications" 0 (v1 - v0)
+
 (* a rejected reload must leave every observable — snapshot epoch,
    corpus accounting, cached decisions and their counters — exactly as
    it found them: the cache epoch rolls on accepted reloads only *)
@@ -901,6 +979,8 @@ let suite =
       test_reload_good_and_poisoned;
     Alcotest.test_case "50k-request warm serve stays bounded" `Slow
       test_warm_serve_cache_bounded;
+    Alcotest.test_case "warm replay answers from the cache alone" `Quick
+      test_warm_replay_from_cache;
     Alcotest.test_case "rejected reload preserves cache and corpus" `Quick
       test_rejected_reload_preserves_cache;
     Alcotest.test_case "drain completes in-flight work" `Quick

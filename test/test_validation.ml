@@ -292,7 +292,7 @@ let verdict_repr (r : Chain.result) =
     List.map C.byte_identity r.Chain.path )
 
 let prop_cached_equals_uncached =
-  QCheck.Test.make ~name:"validation identical with cache on, off or cleared"
+  QCheck.Test.make ~name:"validation identical with cache on, or cleared first"
     ~count:100
     QCheck.(
       make
@@ -309,17 +309,14 @@ let prop_cached_equals_uncached =
           store_with [ (Lazy.force other_root).Authority.certificate ]
         else Lazy.force trusted
       in
+      (* warm first, so the cached side answers from the memo *)
+      ignore (Chain.validate ~now ~store chain);
       let cached = verdict_repr (Chain.validate ~now ~store chain) in
-      Chain.set_verify_cache_enabled false;
-      let uncached =
-        Fun.protect
-          ~finally:(fun () -> Chain.set_verify_cache_enabled true)
-          (fun () -> verdict_repr (Chain.validate ~now ~store chain))
-      in
-      (* an epoch bump must only forget, never change answers *)
+      (* a cleared cache makes every verdict a fresh verification, and
+         an epoch bump must only forget, never change answers *)
       Chain.clear_verify_cache ();
-      let after_bump = verdict_repr (Chain.validate ~now ~store chain) in
-      cached = uncached && cached = after_bump)
+      let uncached = verdict_repr (Chain.validate ~now ~store chain) in
+      cached = uncached)
 
 let test_cache_stays_bounded () =
   (* hammer many distinct verifications through a tiny cache: the live

@@ -241,6 +241,111 @@ let test_pem_wrong_label () =
   | Ok _ -> Alcotest.fail "wrong label accepted"
   | Error _ -> ()
 
+(* [assemble_trusted] lets issuers skip re-parsing the TBS they just
+   encoded, which is sound only if decoding its output gives back the
+   record it built.  Fields are drawn from the shapes [build_tbs]
+   issues: v1 without extensions, or v3 with any mix of them. *)
+let gen_trusted_fields =
+  let open QCheck.Gen in
+  let word = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
+  let dn =
+    map3
+      (fun cn o c -> Dn.make ?o ?c cn)
+      word (opt word)
+      (opt (string_size ~gen:(char_range 'A' 'Z') (return 2)))
+  in
+  (* 1990-2060 straddles the UTCTime/GeneralizedTime switch *)
+  let time =
+    map3 (fun y m d -> Ts.of_date y m d) (int_range 1990 2060) (int_range 1 12)
+      (int_range 1 28)
+  in
+  let extensions =
+    let key_id = opt (string_size ~gen:char (return 20)) in
+    let bits = (* canonical decode order *)
+      [ C.Digital_signature; C.Key_encipherment; C.Key_cert_sign; C.Crl_sign ]
+    in
+    map3
+      (fun (basic_constraints, ku_mask, ext_key_usage)
+           (subject_key_id, authority_key_id) subject_alt_names ->
+        {
+          C.basic_constraints;
+          key_usage =
+            Option.map
+              (fun mask -> List.filteri (fun i _ -> mask land (1 lsl i) <> 0) bits)
+              ku_mask;
+          ext_key_usage;
+          subject_key_id;
+          authority_key_id;
+          subject_alt_names;
+        })
+      (triple
+         (oneofl
+            [ None; Some (true, None); Some (true, Some 0); Some (true, Some 3);
+              Some (false, None) ])
+         (opt (int_bound 15))
+         (opt
+            (list_size (int_bound 3)
+               (oneofl
+                  [ C.Server_auth; C.Client_auth; C.Code_signing;
+                    C.Email_protection; C.Time_stamping ]))))
+      (pair key_id key_id)
+      (list_size (int_bound 3) word)
+  in
+  let version_and_extensions =
+    oneof [ return (1, C.no_extensions); map (fun e -> (3, e)) extensions ]
+  in
+  let serial = map (fun s -> B.of_bytes_be ("\x01" ^ s)) (string_size (int_bound 19)) in
+  let public_key =
+    oneofl
+      [
+        (fun () -> (Lazy.force root).Authority.key.Tangled_crypto.Rsa.pub);
+        (fun () -> (Lazy.force inter).Authority.key.Tangled_crypto.Rsa.pub);
+        (fun () -> (Lazy.force leaf).C.public_key);
+      ]
+  in
+  pair
+    (quad version_and_extensions serial (oneofl Dk.all) (pair dn dn))
+    (triple (pair time time) public_key (string_size ~gen:char (int_range 0 64)))
+
+let prop_assemble_trusted_decodes_to_itself =
+  QCheck.Test.make ~name:"decode (assemble_trusted ...).raw = the record"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (((version, _), serial, alg, (issuer, subject)), _) ->
+         Printf.sprintf "v%d serial=%s alg=%s issuer=%s subject=%s" version
+           (B.to_string serial) (Dk.name alg) (Dn.to_string issuer)
+           (Dn.to_string subject))
+       gen_trusted_fields)
+    (fun ( ((version, extensions), serial, signature_alg, (issuer, subject)),
+           ((not_before, not_after), public_key, signature) ) ->
+      let public_key = public_key () in
+      let tbs_der =
+        C.build_tbs ~version ~serial ~signature_alg ~issuer ~not_before
+          ~not_after ~subject ~public_key ~extensions
+      in
+      let trusted =
+        C.assemble_trusted ~version ~serial ~signature_alg ~issuer ~not_before
+          ~not_after ~subject ~public_key ~extensions ~tbs_der ~signature
+      in
+      match C.decode trusted.C.raw with
+      | Error e -> QCheck.Test.fail_reportf "does not decode: %s" e
+      | Ok d ->
+          d.C.version = trusted.C.version
+          && B.equal d.C.serial trusted.C.serial
+          && d.C.signature_alg = trusted.C.signature_alg
+          && Dn.equal d.C.issuer trusted.C.issuer
+          && d.C.not_before = trusted.C.not_before
+          && d.C.not_after = trusted.C.not_after
+          && Dn.equal d.C.subject trusted.C.subject
+          && B.equal d.C.public_key.Tangled_crypto.Rsa.n
+               trusted.C.public_key.Tangled_crypto.Rsa.n
+          && B.equal d.C.public_key.Tangled_crypto.Rsa.e
+               trusted.C.public_key.Tangled_crypto.Rsa.e
+          && d.C.extensions = trusted.C.extensions
+          && d.C.tbs_der = trusted.C.tbs_der
+          && d.C.signature = trusted.C.signature
+          && d.C.raw = trusted.C.raw)
+
 let suite =
   [
     ("dn rendering", `Quick, test_dn_render);
@@ -262,4 +367,5 @@ let suite =
     ("pem multiple blocks", `Quick, test_pem_multi);
     ("pem wrong label", `Quick, test_pem_wrong_label);
     qtest prop_base64_roundtrip;
+    qtest prop_assemble_trusted_decodes_to_itself;
   ]
