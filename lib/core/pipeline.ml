@@ -40,7 +40,7 @@ type t = {
   timings : Obs.span list;
 }
 
-let run ?(config = default_config) ?universe () =
+let run_lazy ?(config = default_config) ?universe () =
   let jobs = Parallel.resolve config.jobs in
   let stage_spans = ref [] in
   let stage name f =
@@ -55,7 +55,7 @@ let run ?(config = default_config) ?universe () =
         let universe =
           stage "universe" (fun () ->
               match universe with
-              | Some u -> u
+              | Some u -> Lazy.force u
               | None -> BP.build ~key_bits:config.key_bits ~seed:config.seed ())
         in
         let population =
@@ -78,11 +78,16 @@ let run ?(config = default_config) ?universe () =
         in
         (universe, population, dataset, notary))
   in
+  (* what consumes a world (reports, serve) runs on one domain, which
+     idle Notary workers would slow at every minor collection *)
+  Parallel.release ();
   { config; jobs; universe; population; dataset; notary;
     timings = List.rev !stage_spans }
 
-let quick =
-  lazy (run ~config:quick_config ~universe:(Lazy.force BP.default) ())
+let run ?config ?universe () =
+  run_lazy ?config ?universe:(Option.map Lazy.from_val universe) ()
+
+let quick = lazy (run_lazy ~config:quick_config ~universe:BP.default ())
 
 let render_timings t =
   Obs.render_span_table

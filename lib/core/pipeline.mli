@@ -40,15 +40,24 @@ type t = {
 }
 
 val run : ?config:config -> ?universe:Tangled_pki.Blueprint.t -> unit -> t
-(** Fully deterministic in the config (independent of [jobs]).  Pass
+(** Fully deterministic in the config (independent of [jobs]).  Ends
+    with {!Tangled_engine.Parallel.release}: the world's consumers run
+    on one domain.  Pass
     [universe] to reuse an already-built PKI (it embeds its own seed
     and key size; the config's [key_bits] is then ignored, and the
     "universe" span records only the reuse). *)
 
+val run_lazy :
+  ?config:config -> ?universe:Tangled_pki.Blueprint.t Lazy.t -> unit -> t
+(** {!run} over a universe that may not be built yet: the "universe"
+    span times its forcing, so a universe built on first use is not
+    missing from the stage table. *)
+
 val quick : t Lazy.t
 (** A process-wide world built from {!quick_config} over
     {!Tangled_pki.Blueprint.default}, shared by tests, examples and
-    benches. *)
+    benches.  Its "universe" span includes building the default
+    universe when this is the first use of it. *)
 
 val render_timings : t -> string
 (** The stage-timing table for this run — what [report]/[analyze]

@@ -11,6 +11,23 @@ type public = {
   mutable n_sha1 : string option;
 }
 
+(* Everything immutable that one key's CRT signature reuses, built
+   once by [generate] and kept on the key.  Both halves run at p's limb
+   count: at odd key widths q is one bit shorter than p and can need a
+   limb fewer, but the EMSA block is as wide as n and must fit twice
+   the limbs of each context it is loaded into.  p has at least q's
+   bit length, so q < 2p, which is all the recombination needs.  Built
+   eagerly rather than as a [Lazy.t]: two domains forcing one lazy
+   value raise [Lazy.Undefined]. *)
+type signer = {
+  sg_p : Mont.t;
+  sg_dp : Mont.schedule;
+  sg_q : Mont.t;
+  sg_dq : Mont.schedule;
+  sg_qinv_m : int array; (* qinv in p's Montgomery form *)
+  sg_qlimbs : int array; (* q at p's limb count *)
+}
+
 type private_key = {
   pub : public;
   d : B.t;
@@ -19,6 +36,7 @@ type private_key = {
   dp : B.t;
   dq : B.t;
   qinv : B.t;
+  signer : signer;
 }
 
 type keypair = private_key
@@ -36,30 +54,45 @@ let modulus_sha1 pub =
       pub.n_sha1 <- Some h;
       h
 
-(* --- per-key operation contexts ----------------------------------------
+(* --- per-domain working state and the verify cache ----------------------
 
    A handful of CA keys sign (and a pool of public keys verifies)
-   millions of times each, so everything reusable about one key's
-   exponentiations is built once into an op context: the Montgomery
-   contexts, the exponent schedules, the scratch and the result
-   buffers that keep steady-state sign and verify down to allocating
-   their output.  Contexts live in bounded per-domain caches from
-   lib/cache keyed by the modulus bytes — scratch buffers are mutable,
-   so they must never be shared across domains, and the capacity bound
-   means a run over an unbounded key population cannot grow the heap. *)
+   millions of times each.  A key's signer is immutable and shared;
+   what an exponentiation writes — the scratch and the two CRT half
+   results — is mutable, so it must never be shared across domains and
+   lives in domain-local state keyed by limb count, which keeps
+   steady-state sign and verify down to allocating their output.
+   Verify contexts are cached per domain in a bounded cache from
+   lib/cache keyed by the modulus bytes: verification serves keys
+   decoded fresh from DER, and the capacity bound means a run over an
+   unbounded key population cannot grow the heap. *)
 
-type sign_ctx = {
-  sg_p : Mont.t;
-  sg_dp : Mont.schedule;
-  sg_scr_p : Mont.scratch;
-  sg_q : Mont.t;
-  sg_dq : Mont.schedule;
-  sg_scr_q : Mont.scratch;
-  sg_qinv_m : int array; (* qinv in p's Montgomery form *)
-  sg_qlimbs : int array; (* q at p's limb count *)
-  sg_m1 : int array;
-  sg_m2 : int array;
-}
+type work = { scr : Mont.scratch; m1 : int array; m2 : int array }
+
+let works : (int * work) list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+(* this domain's working state for contexts of [ctx]'s width *)
+let work ctx =
+  let k = Mont.limbs ctx in
+  let ws = Domain.DLS.get works in
+  match List.assq_opt k !ws with
+  | Some w -> w
+  | None ->
+      let w = { scr = Mont.scratch ctx; m1 = Array.make k 0; m2 = Array.make k 0 } in
+      ws := (k, w) :: !ws;
+      w
+
+let make_signer ~p ~q ~dp ~dq ~qinv =
+  let sg_p = Mont.create p in
+  let sg_q = Mont.create ~limbs:(Mont.limbs sg_p) q in
+  {
+    sg_p;
+    sg_dp = Mont.schedule dp;
+    sg_q;
+    sg_dq = Mont.schedule dq;
+    sg_qinv_m = Mont.to_mont_limbs sg_p (work sg_p).scr (Mont.limbs_of_bigint sg_p qinv);
+    sg_qlimbs = Mont.limbs_of_bigint sg_q q;
+  }
 
 type verify_ctx = {
   vf_n : Mont.t;
@@ -70,38 +103,8 @@ type verify_ctx = {
   vf_m : int array;
 }
 
-let sign_ctxs : sign_ctx Cache.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Cache.create ~name:"rsa.sign_ctx" ~capacity:64 ())
-
 let verify_ctxs : verify_ctx Cache.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Cache.create ~name:"rsa.verify_ctx" ~capacity:256 ())
-
-(* Both CRT halves run at p's limb count.  At odd key widths q is one
-   bit shorter than p and can need a limb fewer, but the EMSA block is
-   as wide as n and must fit twice the limbs of each context it is
-   loaded into.  p has at least q's bit length, so q < 2p, which is
-   all the recombination needs. *)
-let make_sign_ctx key =
-  let sg_p = Mont.create key.p in
-  let limbs = Mont.limbs sg_p in
-  let sg_q = Mont.create ~limbs key.q in
-  let sg_scr_p = Mont.scratch sg_p in
-  {
-    sg_p;
-    sg_dp = Mont.schedule key.dp;
-    sg_scr_p;
-    sg_q;
-    sg_dq = Mont.schedule key.dq;
-    sg_scr_q = Mont.scratch sg_q;
-    sg_qinv_m = Mont.to_mont_limbs sg_p sg_scr_p (Mont.limbs_of_bigint sg_p key.qinv);
-    sg_qlimbs = Mont.limbs_of_bigint sg_q key.q;
-    sg_m1 = Array.make limbs 0;
-    sg_m2 = Array.make limbs 0;
-  }
-
-let sign_ctx key =
-  Cache.find_or_add (Domain.DLS.get sign_ctxs) (B.to_bytes_be key.pub.n) (fun () ->
-      make_sign_ctx key)
 
 let make_verify_ctx pub nbytes =
   let vf_n = Mont.create pub.n in
@@ -160,7 +163,8 @@ let generate ?(mr_rounds = 20) rng ~bits =
             let dq = B.erem d (B.sub q B.one) in
             (* p and q are distinct primes, so the inverse exists *)
             let qinv = Option.get (B.mod_inverse q p) in
-            { pub = make_public ~n ~e; d; p; q; dp; dq; qinv }
+            let signer = make_signer ~p ~q ~dp ~dq ~qinv in
+            { pub = make_public ~n ~e; d; p; q; dp; dq; qinv; signer }
         | None -> attempt ()
       end
     end
@@ -212,18 +216,21 @@ let left_pad len s =
 
 (* CRT private-key operation (RFC 8017 §5.1.2): two half-size
    exponentiations instead of one full-size one, ~4x faster.  Bytes in,
-   bytes out: the signature buffer is the only allocation. *)
+   bytes out: the signature buffer is the only allocation.  Both halves
+   and the recombination share one scratch: each step writes every
+   scratch word it reads. *)
 let sign key ~digest msg =
   let k = key_size_bytes key.pub in
   let em = emsa_pkcs1_v1_5 ~digest msg k in
-  let sg = sign_ctx key in
-  Mont.load_base_bytes sg.sg_p sg.sg_scr_p em;
-  Mont.powm_loaded sg.sg_p sg.sg_scr_p sg.sg_dp ~dst:sg.sg_m1;
-  Mont.load_base_bytes sg.sg_q sg.sg_scr_q em;
-  Mont.powm_loaded sg.sg_q sg.sg_scr_q sg.sg_dq ~dst:sg.sg_m2;
+  let sg = key.signer in
+  let w = work sg.sg_p in
+  Mont.load_base_bytes sg.sg_p w.scr em;
+  Mont.powm_loaded sg.sg_p w.scr sg.sg_dp ~dst:w.m1;
+  Mont.load_base_bytes sg.sg_q w.scr em;
+  Mont.powm_loaded sg.sg_q w.scr sg.sg_dq ~dst:w.m2;
   let out = Bytes.create k in
-  Mont.crt_combine ~pctx:sg.sg_p ~psc:sg.sg_scr_p ~qinv_m:sg.sg_qinv_m
-    ~qlimbs:sg.sg_qlimbs ~m1:sg.sg_m1 ~m2:sg.sg_m2 ~out;
+  Mont.crt_combine ~pctx:sg.sg_p ~psc:w.scr ~qinv_m:sg.sg_qinv_m ~qlimbs:sg.sg_qlimbs
+    ~m1:w.m1 ~m2:w.m2 ~out;
   Bytes.unsafe_to_string out
 
 let emsa_matches ~digest msg em' =

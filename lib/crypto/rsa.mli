@@ -14,6 +14,11 @@ type public = {
       (** memoised SHA-1 of the modulus bytes ({!modulus_sha1}) *)
 }
 
+type signer
+(** A key's immutable signing state: both CRT Montgomery contexts, the
+    [dp]/[dq] exponent schedules, [qinv] in [p]'s Montgomery form and
+    [q] at [p]'s limb count. *)
+
 type private_key = {
   pub : public;
   d : Tangled_numeric.Bigint.t;  (** private exponent *)
@@ -22,6 +27,7 @@ type private_key = {
   dp : Tangled_numeric.Bigint.t;   (** d mod (p-1), for CRT signing *)
   dq : Tangled_numeric.Bigint.t;   (** d mod (q-1) *)
   qinv : Tangled_numeric.Bigint.t; (** q^-1 mod p *)
+  signer : signer;  (** built by {!generate}, shared by every domain *)
 }
 
 type keypair = private_key
@@ -59,9 +65,9 @@ val sign : private_key -> digest:Tangled_hash.Digest_kind.t -> string -> string
 (** [sign key ~digest msg] is the PKCS#1 v1.5 signature over [msg]:
     EMSA-PKCS1-v1_5 encoding of DigestInfo(digest, H(msg)) followed by
     the CRT private-key operation, two half-width Montgomery
-    exponentiations and a Garner recombination.  The key's contexts
-    and schedules are built on its first signature and cached per
-    domain, keyed by the modulus.
+    exponentiations and a Garner recombination.  The contexts and
+    schedules come from the key's {!signer}; only the mutable scratch
+    and the two half results are per domain, one set per limb count.
     @raise Invalid_argument when the key is too small for the digest,
     or is not a key {!generate} could make. *)
 

@@ -47,9 +47,14 @@ let key_pool_size = 32
    index, so the arena is byte-identical at any [jobs]. *)
 let audit_interval = 64
 
-(* chains built (boxed) per streaming batch before they are appended to
-   the arena and dropped; peak boxed memory is O(batch), not O(total) *)
+(* chains built per streaming batch before they are appended to the
+   arena and dropped; peak heap is O(batch), not O(total) *)
 let batch_size = 4096
+
+(* What a worker hands the sequential fold for one chain: the leaf's
+   DER, the first 8 bytes of its SHA-256 fingerprint and its verified
+   anchor — not the boxed certificate, which dies in the worker. *)
+type built = { der : string; key_fp : int64; anchor : string option }
 
 (* Largest-remainder apportionment of [total] items over [weights]. *)
 let apportion weights total =
@@ -174,10 +179,11 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
   for _ = 1 to n_expired do
     plan_one (Prng.int rng_issue (Array.length issuers))
   done;
-  (* streaming build: construct a batch of boxed chains in parallel
-     (pure per plan), fold each into the arena + incremental coverage
-     index sequentially, drop the batch.  Peak boxed memory is one
-     batch whatever the corpus size; the appended corpus lives off-heap. *)
+  (* streaming build: issue a batch of chains in parallel (pure per
+     plan), fold each into the arena + incremental coverage index
+     sequentially, drop the batch.  The heap holds one batch of DER
+     strings whatever the corpus size; the appended corpus lives
+     off-heap. *)
   let interner = universe.BP.interner in
   let arena =
     Arena.create
@@ -185,6 +191,9 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
       ~capacity:(Stdlib.max 1 total) ()
   in
   let coverage = Coverage.create ~n_ids:(Interner.cardinal interner) () in
+  let expired_window = (Ts.of_date 2010 1 1, Ts.add_days Ts.notary_start (-30))
+  and live_window = (Ts.of_date 2012 6 1, Ts.add_years now 2) in
+  let validity expired = if expired then expired_window else live_window in
   let build j =
     let issuer_i = p_issuer.(j) in
     let authority, _ = issuers.(issuer_i) in
@@ -193,10 +202,7 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
     let parent = if via then intermediates.(issuer_i) else authority in
     let leaf_no = j + 1 in
     let domain = Printf.sprintf "www.site%06d.example" leaf_no in
-    let not_before, not_after =
-      if expired then (Ts.of_date 2010 1 1, Ts.add_days Ts.notary_start (-30))
-      else (Ts.of_date 2012 6 1, Ts.add_years now 2)
-    in
+    let not_before, not_after = validity expired in
     let leaf =
       Authority.issue_leaf ~bits ~digest
         ~key:leaf_keys.(leaf_no mod key_pool_size)
@@ -220,7 +226,7 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
               (Printf.sprintf "Notary: sampled chain audit failed at index %d" j)
         | r -> r
     in
-    (leaf, anchor)
+    { der = leaf.C.raw; key_fp = String.get_int64_be (C.fingerprint leaf) 0; anchor }
   in
   let lo = ref 0 in
   while !lo < total do
@@ -230,11 +236,11 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
     (* sequential fold: anchor interning and index updates happen in
        chain order, independent of the worker count above *)
     Array.iteri
-      (fun i (leaf, anchor) ->
+      (fun i b ->
         let j = base + i in
         let expired = j >= assigned in
         let anchor_id =
-          match anchor with
+          match b.anchor with
           | Some key -> Interner.intern interner key
           | None -> -1
         in
@@ -243,11 +249,10 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
           lor
           if Bytes.get p_via j <> '\000' then Arena.flag_via_intermediate else 0
         in
-        let key_fp = String.get_int64_be (C.fingerprint leaf) 0 in
+        let not_before, not_after = validity expired in
         let (_ : int) =
-          Arena.append arena ~der:leaf.C.raw ~subject_id:(-1)
-            ~issuer_id:p_issuer.(j) ~anchor_id ~not_before:leaf.C.not_before
-            ~not_after:leaf.C.not_after ~flags ~key_fp
+          Arena.append arena ~der:b.der ~subject_id:(-1) ~issuer_id:p_issuer.(j)
+            ~anchor_id ~not_before ~not_after ~flags ~key_fp:b.key_fp
         in
         Coverage.append coverage ~anchor:anchor_id ~expired)
       batch;

@@ -185,6 +185,27 @@ let test_pipeline_determinism () =
   let counts w = List.map (fun (r : T3.row) -> r.T3.validated) (T3.compute w).T3.rows in
   check (Alcotest.list Alcotest.int) "table3 deterministic" (counts w1) (counts w2)
 
+(* A universe built on first use is timed inside the pipeline's
+   "universe" stage, not before it, so [quick]'s stage table cannot
+   read "universe 0.000s" beside a multi-second world build. *)
+let test_universe_stage_times_forcing () =
+  let cfg =
+    { Pipeline.quick_config with Pipeline.sessions = 300; notary_leaves = 500 }
+  in
+  let u = (Lazy.force world).Pipeline.universe in
+  let pause = 0.05 in
+  let w =
+    Pipeline.run_lazy ~config:cfg ~universe:(lazy (Unix.sleepf pause; u)) ()
+  in
+  let stage =
+    List.find (fun (s : Tangled_obs.Obs.span) -> s.Tangled_obs.Obs.name = "universe")
+      w.Pipeline.timings
+  in
+  let dur = stage.Tangled_obs.Obs.dur_s in
+  Alcotest.(check bool)
+    (Printf.sprintf "universe stage %.3fs covers the %.2fs forcing" dur pause)
+    true (dur >= pause)
+
 let suite =
   [
     ("Table 1 exact", `Quick, test_table1_exact);
@@ -199,4 +220,5 @@ let suite =
     ("all artefacts render", `Quick, test_report_renders);
     ("all artefacts dump CSV", `Quick, test_csv_outputs);
     ("pipeline determinism", `Slow, test_pipeline_determinism);
+    ("universe stage times a lazy universe", `Quick, test_universe_stage_times_forcing);
   ]

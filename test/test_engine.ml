@@ -145,6 +145,59 @@ let test_parallel_resolve () =
   let auto = Parallel.resolve 0 in
   Alcotest.(check bool) "auto in range" true (auto >= 1 && auto <= Parallel.max_jobs)
 
+(* The pool re-raises a slice's own exception value, the lowest
+   failing slice first, and stays usable. *)
+exception Slice_failed of int
+
+let test_pool_exceptions () =
+  let first n bad =
+    let f i = if List.mem i bad then raise (Slice_failed i) else i in
+    match Parallel.tabulate ~jobs:2 n f with
+    | _ -> Alcotest.fail "no exception"
+    | exception Slice_failed i -> i
+  in
+  (* 100 items at jobs 2: slice 0 is [0, 50), the worker's [50, 100) *)
+  Alcotest.(check int) "worker slice" 70 (first 100 [ 70 ]);
+  Alcotest.(check int) "slice 0" 3 (first 100 [ 3 ]);
+  Alcotest.(check int) "lowest slice first" 3 (first 100 [ 70; 3 ]);
+  let e = Failure "worker" in
+  (match Parallel.tabulate ~jobs:2 100 (fun i -> if i = 99 then raise e else i) with
+  | _ -> Alcotest.fail "no exception"
+  | exception e' -> Alcotest.(check bool) "the same exception value" true (e == e'));
+  Alcotest.(check (array int)) "pool usable after a raise" (Array.init 100 Fun.id)
+    (Parallel.tabulate ~jobs:2 100 Fun.id)
+
+(* A call made while another is in flight runs inline: nested inside
+   [f] (on the caller and on a worker), or from another domain. *)
+let test_pool_reentrant () =
+  let inner i = Array.init 64 (fun j -> (i * 64) + j) in
+  Alcotest.(check (array (array int))) "nested in f" (Array.init 100 inner)
+    (Parallel.tabulate ~jobs:2 100 (fun i ->
+         Parallel.tabulate ~jobs:2 64 (fun j -> (i * 64) + j)));
+  let from_other_domain =
+    Parallel.tabulate ~jobs:2 64 (fun i ->
+        if i = 0 then
+          Domain.join (Domain.spawn (fun () -> Parallel.tabulate ~jobs:2 200 Fun.id))
+        else [||])
+  in
+  Alcotest.(check (array int)) "from a second domain mid-call" (Array.init 200 Fun.id)
+    from_other_domain.(0)
+
+(* Workers persist: the worker slice of two successive calls runs on
+   the same domain, and not on the caller's, until [release]. *)
+let test_pool_persistent_workers () =
+  let ids () = Parallel.tabulate ~jobs:2 64 (fun _ -> (Domain.self () :> int)) in
+  let a = ids () in
+  let b = ids () in
+  let self = (Domain.self () :> int) in
+  Alcotest.(check int) "caller runs slice 0" self a.(0);
+  Alcotest.(check bool) "worker is another domain" true (a.(63) <> self);
+  Alcotest.(check int) "same worker next call" a.(63) b.(63);
+  Parallel.release ();
+  let c = ids () in
+  Alcotest.(check bool) "a fresh worker after release" true
+    (c.(63) <> a.(63) && c.(63) <> self)
+
 let suite =
   [
     Alcotest.test_case "interner dense ids" `Quick test_interner_dense_ids;
@@ -158,4 +211,9 @@ let suite =
       test_parallel_matches_sequential;
     Alcotest.test_case "parallel map" `Quick test_parallel_map;
     Alcotest.test_case "parallel resolve" `Quick test_parallel_resolve;
+    Alcotest.test_case "pool re-raises the lowest failing slice" `Quick
+      test_pool_exceptions;
+    Alcotest.test_case "pool nested and cross-domain calls" `Quick test_pool_reentrant;
+    Alcotest.test_case "pool workers persist across calls" `Quick
+      test_pool_persistent_workers;
   ]

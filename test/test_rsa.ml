@@ -189,11 +189,11 @@ let words_per_call f =
   (Gc.minor_words () -. before) /. float_of_int calls
 
 (* rsa.ml keeps sign and verify close to their output: the digest,
-   the EMSA block, the context-cache key, the signature and one
-   exponent-width observation per walk — 167 words per 384-bit sign
-   and 165 per verify when measured.  The bound leaves a few words of
-   slack; rebuilding the signing context on every call costs far more
-   and fails it. *)
+   the EMSA block, the signature, one exponent-width observation per
+   walk and, for verify, the context-cache key — 155 words per 384-bit
+   sign and 165 per verify when measured.  The bound leaves slack;
+   rebuilding the key's signer on every call costs 1 294 and fails
+   it. *)
 let test_steady_state_allocation () =
   let key = Lazy.force key384 in
   let msg = "steady state" in
