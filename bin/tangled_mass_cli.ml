@@ -174,6 +174,13 @@ let report_cmd =
 
 (* --- stores ----------------------------------------------------------- *)
 
+(* an official store of a freshly built universe, by its short name *)
+let official_store ~seed ~key_bits name =
+  let universe = Tangled_pki.Blueprint.build ~key_bits ~seed () in
+  match Tangled_pki.Blueprint.store_of_name universe name with
+  | Some store -> store
+  | None -> invalid_arg ("unknown store " ^ name)
+
 let stores_cmd =
   let store_arg =
     let doc = "Which store to show: aosp41, aosp42, aosp43, aosp44, mozilla, ios7." in
@@ -191,20 +198,8 @@ let stores_cmd =
     Arg.(value & opt (some string) None & info [ "cacerts-dir" ] ~docv:"DIR" ~doc)
   in
   let run () seed key_bits store pem cacerts_dir =
-    let module BP = Tangled_pki.Blueprint in
-    let module PD = Tangled_pki.Paper_data in
     let module Rs = Tangled_store.Root_store in
-    let universe = BP.build ~key_bits ~seed () in
-    let target =
-      match store with
-      | "aosp41" -> universe.BP.aosp PD.V4_1
-      | "aosp42" -> universe.BP.aosp PD.V4_2
-      | "aosp43" -> universe.BP.aosp PD.V4_3
-      | "aosp44" -> universe.BP.aosp PD.V4_4
-      | "mozilla" -> universe.BP.mozilla
-      | "ios7" -> universe.BP.ios7
-      | other -> invalid_arg ("unknown store " ^ other)
-    in
+    let target = official_store ~seed ~key_bits store in
     match cacerts_dir with
     | Some dir -> (
         match Tangled_store.Cacerts_dir.write target dir with
@@ -586,35 +581,22 @@ let audit_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"STORE" ~doc)
   in
   let baseline_arg =
-    let doc = "AOSP baseline to diff against: aosp41, aosp42, aosp43, aosp44." in
+    let doc =
+      "Official store to diff against: aosp41, aosp42, aosp43, aosp44, \
+       mozilla, ios7."
+    in
     Arg.(value & opt string "aosp44" & info [ "baseline" ] ~docv:"NAME" ~doc)
   in
   let run () seed key_bits pem_file baseline =
-    let module BP = Tangled_pki.Blueprint in
-    let module PD = Tangled_pki.Paper_data in
     let module Rs = Tangled_store.Root_store in
     let module C = Tangled_x509.Certificate in
     let module Pem = Tangled_x509.Pem in
-    let universe = BP.build ~key_bits ~seed () in
-    let baseline_store =
-      match baseline with
-      | "aosp41" -> universe.BP.aosp PD.V4_1
-      | "aosp42" -> universe.BP.aosp PD.V4_2
-      | "aosp43" -> universe.BP.aosp PD.V4_3
-      | "aosp44" -> universe.BP.aosp PD.V4_4
-      | other -> invalid_arg ("unknown baseline " ^ other)
-    in
+    let baseline_store = official_store ~seed ~key_bits baseline in
     let load_store () =
       if Sys.is_directory pem_file then
         Tangled_store.Cacerts_dir.read ~name:"audited" pem_file
       else begin
-        let contents =
-          let ic = open_in_bin pem_file in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        match Pem.decode_all contents with
+        match Pem.decode_all (read_whole_file pem_file) with
         | Error _ as e -> e
         | Ok blocks ->
             let certs =
@@ -648,214 +630,10 @@ let audit_cmd =
   in
   Cmd.v
     (Cmd.info "audit"
-       ~doc:"Diff a PEM root-store dump against an AOSP baseline (the Netalyzr measurement, offline)")
-    Term.(const run $ logs_term $ seed_arg $ key_bits_arg $ pem_file $ baseline_arg)
-
-(* --- selfcheck --------------------------------------------------------- *)
-
-(* The regression gate behind `dune build @check`: (1) cross-check the
-   Montgomery exponentiation and RSA-CRT signatures against the
-   division-based Bigint.modpow on deterministic random inputs, (2)
-   check the unboxed streaming hash cores against published vectors
-   and padding-boundary lengths, and random-split streaming against
-   the one-shot digest (the boxed-oracle comparison is test_hash's
-   QCheck property, which @check runs through runtest), (3) rebuild
-   the quick world at --jobs 1 and compare the SHA-256 of the full
-   rendered report against the golden digest committed in test/ — any
-   drift in the study's bytes fails the build — and (4) export the
-   quick run's observability trace and validate it against the
-   versioned JSONL schema. *)
-
-let selfcheck_cmd =
-  let module B = Tangled_numeric.Bigint in
-  let module Mont = Tangled_numeric.Montgomery in
-  let module Prng = Tangled_util.Prng in
-  let golden_arg =
-    let doc = "File holding the expected report digest (hex SHA-256)." in
-    Arg.(required & opt (some string) None & info [ "golden" ] ~docv:"FILE" ~doc)
-  in
-  let update_arg =
-    let doc = "Rewrite the golden file with the current digest instead of comparing." in
-    Arg.(value & flag & info [ "update" ] ~doc)
-  in
-  let mont_crosscheck () =
-    let rng = Prng.create 271828 in
-    let widths = [| 64; 128; 256; 384; 512; 896; 1024; 1764; 2072 |] in
-    let trials = 150 in
-    let failures = ref 0 in
-    for i = 1 to trials do
-      let bits = widths.(i mod Array.length widths) in
-      let m =
-        (* random odd modulus of exactly [bits] bits *)
-        let v = B.add (B.shift_left B.one (bits - 1)) (B.random_bits rng (bits - 1)) in
-        if B.is_odd v then v else B.add v B.one
-      in
-      let base = B.random_bits rng (bits + 13) (* deliberately >= m sometimes *) in
-      let e = B.random_bits rng bits in
-      let want = B.modpow base e m in
-      let got = Mont.modpow (Mont.create m) base e in
-      if not (B.equal want got) then begin
-        incr failures;
-        Printf.eprintf "selfcheck: montgomery mismatch at trial %d (%d bits)\n" i bits
-      end
-    done;
-    Printf.printf "montgomery-vs-oracle: %d/%d trials ok\n%!" (trials - !failures) trials;
-    !failures = 0
-  in
-  let rsa_sign_check () =
-    (* RSA-CRT signatures against EM^d mod n on the division-based
-       oracle, at the simulation's key size, an odd width whose CRT
-       primes differ in limb count, and widths whose primes fill their
-       top limb *)
-    let module Rsa = Tangled_crypto.Rsa in
-    let module Dk = Tangled_hash.Digest_kind in
-    let rng = Prng.create 161803 in
-    let failures = ref 0 in
-    List.iter
-      (fun bits ->
-        let key = Rsa.generate ~mr_rounds:6 rng ~bits in
-        let n = key.Rsa.pub.Rsa.n in
-        let k = Rsa.key_size_bytes key.Rsa.pub in
-        let msg = Printf.sprintf "rsa selfcheck %d" bits in
-        let t = Tangled_util.Hex.decode "3021300906052b0e03021a05000414" ^ Dk.digest Dk.SHA1 msg in
-        let em = "\x00\x01" ^ String.make (k - 3 - String.length t) '\xff' ^ "\x00" ^ t in
-        let want = B.modpow (B.of_bytes_be em) key.Rsa.d n in
-        let signature = Rsa.sign key ~digest:Dk.SHA1 msg in
-        if not (B.equal want (B.of_bytes_be signature)) then begin
-          incr failures;
-          Printf.eprintf "selfcheck: RSA signature differs from the oracle at %d bits\n" bits
-        end;
-        if not (Rsa.verify key.Rsa.pub ~digest:Dk.SHA1 ~msg ~signature) then begin
-          incr failures;
-          Printf.eprintf "selfcheck: RSA verify rejected a signature at %d bits\n" bits
-        end)
-      [ 384; 393; 1036; 1792 ];
-    Printf.printf "rsa-sign-vs-oracle: %s\n%!"
-      (if !failures = 0 then "ok" else string_of_int !failures ^ " failures");
-    !failures = 0
-  in
-  let hash_vectors_check () =
-    let module H = Tangled_hash in
-    let failures = ref 0 in
-    let check what got want =
-      if not (String.equal got want) then begin
-        incr failures;
-        Printf.eprintf "selfcheck: hash mismatch for %s\n  want %s\n  got  %s\n" what want got
-      end
-    in
-    (* published vectors plus the padding-boundary lengths 55/56/64/119 *)
-    let a n = String.make n 'a' in
-    List.iter
-      (fun (name, msg, md5, sha1, sha256) ->
-        check ("md5 " ^ name) (H.Md5.hex msg) md5;
-        check ("sha1 " ^ name) (H.Sha1.hex msg) sha1;
-        check ("sha256 " ^ name) (H.Sha256.hex msg) sha256)
-      [
-        ( "empty", "",
-          "d41d8cd98f00b204e9800998ecf8427e",
-          "da39a3ee5e6b4b0d3255bfef95601890afd80709",
-          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" );
-        ( "abc", "abc",
-          "900150983cd24fb0d6963f7d28e17f72",
-          "a9993e364706816aba3e25717850c26c9cd0d89d",
-          "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" );
-        ( "a*55", a 55,
-          "ef1772b6dff9a122358552954ad0df65",
-          "c1c8bbdc22796e28c0e15163d20899b65621d65a",
-          "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318" );
-        ( "a*56", a 56,
-          "3b0c8ac703f828b04c6c197006d17218",
-          "c2db330f6083854c99d4b5bfb6e8f29f201be699",
-          "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a" );
-        ( "a*64", a 64,
-          "014842d480b571495a4a0363793f7367",
-          "0098ba824b5c16427bd7a1122a5a442a25ec644d",
-          "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb" );
-        ( "a*119", a 119,
-          "8a7bd0732ed6a28ce75f6dabc90e1613",
-          "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56",
-          "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb" );
-      ];
-    (* streaming at random split points vs one-shot *)
-    let rng = Prng.create 602214 in
-    for trial = 1 to 60 do
-      let msg = Prng.bytes rng (Prng.int rng 300) in
-      let split_feed init feed_sub finalize =
-        let ctx = init () in
-        let off = ref 0 in
-        while !off < String.length msg do
-          let len = Prng.int_in rng 1 (String.length msg - !off) in
-          feed_sub ctx msg ~off:!off ~len;
-          off := !off + len
-        done;
-        finalize ctx
-      in
-      let agree name oneshot streamed =
-        if not (String.equal (oneshot msg) streamed) then begin
-          incr failures;
-          Printf.eprintf "selfcheck: %s disagreement at trial %d (len %d)\n" name trial
-            (String.length msg)
-        end
-      in
-      agree "md5" H.Md5.digest (split_feed H.Md5.init H.Md5.feed_sub H.Md5.finalize);
-      agree "sha1" H.Sha1.digest (split_feed H.Sha1.init H.Sha1.feed_sub H.Sha1.finalize);
-      agree "sha256" H.Sha256.digest
-        (split_feed H.Sha256.init H.Sha256.feed_sub H.Sha256.finalize)
-    done;
-    Printf.printf "hash-vectors-and-split-feed: %s\n%!"
-      (if !failures = 0 then "ok" else string_of_int !failures ^ " failures");
-    !failures = 0
-  in
-  let run () golden update =
-    let ok_mont = mont_crosscheck () in
-    let ok_rsa = rsa_sign_check () in
-    let ok_hash = hash_vectors_check () in
-    let world =
-      Pipeline.run
-        ~config:{ Pipeline.quick_config with Pipeline.jobs = 1 }
-        ~universe:(Lazy.force Tangled_pki.Blueprint.default) ()
-    in
-    let digest =
-      Tangled_util.Hex.encode (Tangled_hash.Sha256.digest (Report.run_all world))
-    in
-    let ok_trace =
-      let trace = Obs.trace_jsonl ~jobs:world.Pipeline.jobs () in
-      match (Obs.validate_trace trace, Obs.stable_view trace) with
-      | Ok (), Ok _ ->
-          let lines =
-            List.length
-              (List.filter (fun l -> l <> "")
-                 (String.split_on_char '\n' trace))
-          in
-          Printf.printf "obs trace (%s): %d lines, schema ok\n%!"
-            Obs.schema_version lines;
-          true
-      | Error e, _ | _, Error e ->
-          Printf.eprintf "selfcheck: obs trace invalid: %s\n%!" e;
-          false
-    in
-    if update then begin
-      Tangled_core.Export.write_text golden (digest ^ "\n");
-      Printf.printf "wrote %s (%s)\n%!" golden digest;
-      if not (ok_mont && ok_rsa && ok_hash && ok_trace) then exit 1
-    end
-    else begin
-      let expected = String.trim (In_channel.with_open_text golden In_channel.input_all) in
-      let ok_digest = String.equal expected digest in
-      if ok_digest then Printf.printf "report digest (jobs 1): %s — matches golden\n%!" digest
-      else
-        Printf.eprintf
-          "selfcheck: report digest drifted\n  golden:  %s\n  current: %s\n%!"
-          expected digest;
-      if not (ok_mont && ok_rsa && ok_hash && ok_digest && ok_trace) then exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "selfcheck"
        ~doc:
-         "Montgomery/hash-core cross-checks, golden report-digest gate, and \
-          obs trace schema validation")
-    Term.(const run $ logs_term $ golden_arg $ update_arg)
+         "Diff a PEM root-store dump against an official baseline store \
+          (the Netalyzr measurement, offline)")
+    Term.(const run $ logs_term $ seed_arg $ key_bits_arg $ pem_file $ baseline_arg)
 
 (* --- scale -------------------------------------------------------------- *)
 
@@ -897,23 +675,14 @@ let scale_cmd =
     in
     Arg.(value & opt int 0 & info [ "max-heap-mb" ] ~docv:"MB" ~doc)
   in
-  let max_ratio_arg =
-    let doc =
-      "Fail if committed arena bytes per certificate exceed this multiple of \
-       the mean raw DER size."
-    in
-    Arg.(value & opt float 2.0 & info [ "max-der-ratio" ] ~docv:"R" ~doc)
-  in
-  let fraction_dp_arg =
-    let doc =
-      "Per-store validated fractions must agree across scales within \
-       10^-N (apportionment remainders shift them by O(1/leaves)); \
-       zero-validation fractions must agree exactly, byte for byte."
-    in
-    Arg.(value & opt int 2 & info [ "fraction-dp" ] ~docv:"N" ~doc)
-  in
-  let run () seed key_bits leaves_list out check_jobs max_heap_mb max_ratio
-      fraction_dp =
+  (* committed arena bytes per certificate may reach at most this
+     multiple of the mean raw DER size *)
+  let max_ratio = 2.0 in
+  (* per-store validated fractions must agree across scales within
+     10^-fraction_dp (apportionment remainders shift them by
+     O(1/leaves)); zero-validation fractions must agree exactly *)
+  let fraction_dp = 2 in
+  let run () seed key_bits leaves_list out check_jobs max_heap_mb =
     let failures = ref [] in
     let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
     Logs.app (fun m -> m "building universe (seed %d, %d-bit keys)..." seed key_bits);
@@ -1076,21 +845,16 @@ let scale_cmd =
           and assert flat peak memory, bounded bytes/cert, scale-invariant \
           fractions, and (optionally) jobs-independent arena bytes")
     Term.(const run $ logs_term $ seed_arg $ key_bits_arg $ leaves_all_arg
-          $ out_arg $ check_jobs_arg $ max_heap_arg $ max_ratio_arg
-          $ fraction_dp_arg)
+          $ out_arg $ check_jobs_arg $ max_heap_arg)
 
 (* --- ct ---------------------------------------------------------------- *)
 
 let ct_cmd =
+  let module Ct_report = Tangled_core.Ct_report in
   let module Fleet = Tangled_ct.Fleet in
   let module Ct_log = Tangled_ct.Log in
   let module Proof = Tangled_ct.Proof in
-  let module T = Tangled_util.Text_table in
   let module J = Tangled_util.Json in
-  let n_logs_arg =
-    let doc = "Number of logs in the fleet." in
-    Arg.(value & opt int 3 & info [ "logs" ] ~docv:"N" ~doc)
-  in
   let prove_arg =
     let doc =
       "Emit an inclusion proof for leaf INDEX of LOG (e.g. ct0:17) and verify \
@@ -1107,15 +871,6 @@ let ct_cmd =
     Arg.(value & opt (some string) None
          & info [ "consistency" ] ~docv:"LOG:FIRST:SECOND" ~doc)
   in
-  let smoke_arg =
-    let doc =
-      "Smoke-check the subsystem: verify one inclusion and one consistency \
-       proof per log through the pure verifier, then rebuild the world with 4 \
-       worker domains and require byte-identical log heads.  Exits 1 on any \
-       failure."
-    in
-    Arg.(value & flag & info [ "smoke" ] ~doc)
-  in
   let out_arg =
     let doc = "Write the fleet summary (heads, visibility rows) as JSON." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
@@ -1126,12 +881,11 @@ let ct_cmd =
     | [ log; a; b ] -> (log, int_of_string_opt a, int_of_string_opt b)
     | _ -> (spec, None, None)
   in
+  let die fmt = Printf.ksprintf (fun m -> prerr_endline ("ct: " ^ m); exit 1) fmt in
   let entry_exn fleet name =
     match Fleet.find_log fleet name with
     | Some e -> e
-    | None ->
-        Printf.eprintf "ct: no log named %s\n%!" name;
-        exit 1
+    | None -> die "no log named %s" name
   in
   let proof_json name kind extra proof =
     J.Obj
@@ -1145,50 +899,13 @@ let ct_cmd =
                  proof) );
         ])
   in
-  let build_fleet ~jobs ~n_logs seed sessions leaves key_bits =
-    let world = build_world ~jobs seed sessions leaves key_bits in
-    (world, Fleet.build ~n_logs ~seed world.Pipeline.universe
-              world.Pipeline.notary)
-  in
-  let run () common sessions leaves key_bits n_logs prove consistency smoke out =
+  let run () common sessions leaves key_bits prove consistency out =
     let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-    let world, fleet =
-      build_fleet ~jobs:common.jobs ~n_logs common.seed sessions leaves key_bits
-    in
-    (* fleet + visibility tables (the report's "ct" section, online) *)
-    let log_rows =
-      Array.to_list
-        (Array.map
-           (fun (e : Fleet.entry) ->
-             [
-               Ct_log.name e.Fleet.log;
-               T.fmt_int e.Fleet.accepted_roots;
-               T.fmt_int (Ct_log.size e.Fleet.log);
-               String.sub (Ct_log.head_hex e.Fleet.log) 0 16;
-             ])
-           (Fleet.entries fleet))
-    in
-    print_endline
-      (T.render ~title:"CT log fleet"
-         ~aligns:[ T.Left; T.Right; T.Right; T.Left ]
-         ~header:[ "log"; "accepted roots"; "tree size"; "head (prefix)" ]
-         log_rows);
-    let vis = Fleet.official_visibility fleet in
-    print_endline
-      (T.render ~title:"CT visibility of device-store roots"
-         ~aligns:[ T.Left; T.Right; T.Right; T.Right; T.Right ]
-         ~header:[ "store"; "roots"; "accepted"; "logged"; "dark" ]
-         (List.map
-            (fun (r : Fleet.store_row) ->
-              [
-                r.Fleet.store_name;
-                T.fmt_int r.Fleet.roots;
-                T.fmt_int r.Fleet.accepted;
-                T.fmt_int r.Fleet.logged;
-                T.fmt_int r.Fleet.dark;
-              ])
-            vis));
+    let world = build_world ~jobs:common.jobs common.seed sessions leaves key_bits in
+    (* the report's "ct" section; the proofs below read the same fleet *)
+    let report = Ct_report.compute world in
+    let fleet = Ct_report.fleet report in
+    print_string (Ct_report.render report);
     (* --prove LOG:INDEX *)
     (match prove with
     | None -> ()
@@ -1198,9 +915,7 @@ let ct_cmd =
             let e = entry_exn fleet log_name in
             let n = Ct_log.size e.Fleet.log in
             match Ct_log.inclusion_proof e.Fleet.log ~index ~tree_size:n with
-            | Error err ->
-                Printf.eprintf "ct: %s\n%!" err;
-                exit 1
+            | Error err -> die "%s" err
             | Ok proof ->
                 let ok =
                   match Fleet.leaf_der fleet e index with
@@ -1219,10 +934,9 @@ let ct_cmd =
                           ("verified", J.Bool ok);
                         ]
                         proof));
-                if not ok then fail "--prove %s: proof did not verify" spec)
-        | _ ->
-            Printf.eprintf "ct: --prove wants LOG:INDEX, got %s\n%!" spec;
-            exit 1));
+                if not ok then
+                  failures := ("--prove " ^ spec) :: !failures)
+        | _ -> die "--prove wants LOG:INDEX, got %s" spec));
     (* --consistency LOG:FIRST:SECOND *)
     (match consistency with
     | None -> ()
@@ -1251,66 +965,10 @@ let ct_cmd =
                           ("verified", J.Bool ok);
                         ]
                         proof));
-                if not ok then fail "--consistency %s: proof did not verify" spec
-            | Error err, _, _ | _, Error err, _ | _, _, Error err ->
-                Printf.eprintf "ct: %s\n%!" err;
-                exit 1)
-        | _ ->
-            Printf.eprintf
-              "ct: --consistency wants LOG:FIRST:SECOND, got %s\n%!" spec;
-            exit 1));
-    (* --smoke: proof round-trips per log + jobs-1-vs-4 head identity *)
-    if smoke then begin
-      Array.iter
-        (fun (e : Fleet.entry) ->
-          let name = Ct_log.name e.Fleet.log in
-          let n = Ct_log.size e.Fleet.log in
-          if n = 0 then fail "%s: empty log" name
-          else begin
-            let i = n / 2 in
-            (match
-               ( Ct_log.inclusion_proof e.Fleet.log ~index:i ~tree_size:n,
-                 Fleet.leaf_der fleet e i )
-             with
-            | Ok proof, Some leaf ->
-                if
-                  not
-                    (Proof.verify_inclusion ~leaf ~index:i ~tree_size:n ~proof
-                       ~root:(Ct_log.head e.Fleet.log))
-                then fail "%s: inclusion proof for leaf %d did not verify" name i
-            | Error err, _ -> fail "%s: %s" name err
-            | _, None -> fail "%s: leaf %d unreadable" name i);
-            let m = max 1 (n / 2) in
-            match
-              ( Ct_log.consistency_proof e.Fleet.log ~first:m ~second:n,
-                Ct_log.head_at e.Fleet.log m )
-            with
-            | Ok proof, Ok r1 ->
-                if
-                  not
-                    (Proof.verify_consistency ~first:m ~second:n ~first_root:r1
-                       ~second_root:(Ct_log.head e.Fleet.log) ~proof)
-                then fail "%s: consistency %d..%d did not verify" name m n
-            | Error err, _ | _, Error err -> fail "%s: %s" name err
-          end)
-        (Fleet.entries fleet);
-      Logs.app (fun m -> m "rebuilding with 4 worker domains...");
-      let _, fleet4 =
-        build_fleet ~jobs:4 ~n_logs common.seed sessions leaves key_bits
-      in
-      Array.iteri
-        (fun j (e1 : Fleet.entry) ->
-          let e4 = (Fleet.entries fleet4).(j) in
-          let h1 = Ct_log.head_hex e1.Fleet.log
-          and h4 = Ct_log.head_hex e4.Fleet.log in
-          if h1 <> h4 then
-            fail "%s: head differs between jobs 1 and jobs 4 (%s vs %s)"
-              (Ct_log.name e1.Fleet.log) h1 h4)
-        (Fleet.entries fleet);
-      Logs.app (fun m ->
-          m "smoke: %d log(s), proofs verified, jobs-1-vs-4 heads identical"
-            (Array.length (Fleet.entries fleet)))
-    end;
+                if not ok then
+                  failures := ("--consistency " ^ spec) :: !failures
+            | Error err, _, _ | _, Error err, _ | _, _, Error err -> die "%s" err)
+        | _ -> die "--consistency wants LOG:FIRST:SECOND, got %s" spec));
     (match out with
     | None -> ()
     | Some path ->
@@ -1318,7 +976,7 @@ let ct_cmd =
           J.Obj
             [
               ("seed", J.Int common.seed);
-              ("logs", J.Int n_logs);
+              ("logs", J.Int (Fleet.n_logs fleet));
               ( "heads",
                 J.Obj
                   (Array.to_list
@@ -1343,7 +1001,7 @@ let ct_cmd =
                            ("logged", J.Int r.Fleet.logged);
                            ("dark", J.Int r.Fleet.dark);
                          ])
-                     vis) );
+                     (Fleet.official_visibility fleet)) );
             ]
         in
         Tangled_core.Export.write_text path (J.to_string doc ^ "\n");
@@ -1352,17 +1010,17 @@ let ct_cmd =
     match !failures with
     | [] -> ()
     | ms ->
-        List.iter (fun m -> Printf.eprintf "ct: %s\n%!" m) (List.rev ms);
+        List.iter (fun m -> Printf.eprintf "ct: %s: proof did not verify\n%!" m)
+          (List.rev ms);
         exit 1
   in
   Cmd.v
     (Cmd.info "ct"
        ~doc:
-         "Build the CT log fleet over the Notary corpus, print the visibility \
-          table, emit/verify RFC 6962 proofs, and smoke-check determinism")
+         "Build the CT log fleet over the Notary corpus, print the report's \
+          CT section, and emit/verify RFC 6962 proofs")
     Term.(const run $ logs_term $ common_term $ sessions_arg $ leaves_arg
-          $ key_bits_arg $ n_logs_arg $ prove_arg $ consistency_arg $ smoke_arg
-          $ out_arg)
+          $ key_bits_arg $ prove_arg $ consistency_arg $ out_arg)
 
 (* --- intercept --------------------------------------------------------- *)
 
@@ -1381,6 +1039,6 @@ let main_cmd =
     (Cmd.info "tangled-mass" ~version:"1.0.0" ~doc)
     [ tables_cmd; figures_cmd; report_cmd; analyze_cmd; audit_cmd; export_cmd;
       ingest_cmd; chaos_cmd; serve_cmd; sensitivity_cmd; scale_cmd; ct_cmd;
-      stores_cmd; intercept_cmd; selfcheck_cmd ]
+      stores_cmd; intercept_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -390,6 +390,15 @@ let find_root_by_key t key =
   | Some id when id < Array.length t.root_of_id -> t.root_of_id.(id)
   | _ -> None
 
+let store_of_name t = function
+  | "aosp41" -> Some (t.aosp PD.V4_1)
+  | "aosp42" -> Some (t.aosp PD.V4_2)
+  | "aosp43" -> Some (t.aosp PD.V4_3)
+  | "aosp44" -> Some (t.aosp PD.V4_4)
+  | "mozilla" -> Some t.mozilla
+  | "ios7" -> Some t.ios7
+  | _ -> None
+
 let category_labels = List.map (fun (l, _, _) -> l) PD.table4_rows
 
 let store_of_category t label =

@@ -69,6 +69,11 @@ val find_root_by_key : t -> string -> root option
 (** Lookup by equivalence key, through the interner and the id-indexed
     table — [O(1)]. *)
 
+val store_of_name : t -> string -> Tangled_store.Root_store.t option
+(** An official store by its short name: [aosp41], [aosp42], [aosp43],
+    [aosp44], [mozilla] or [ios7] — the names the CLI and the serve
+    protocol take.  [None] for any other name. *)
+
 val store_of_category : t -> string -> Tangled_x509.Certificate.t list
 (** The certificate population of a Table 4 category, by its paper row
     label.  @raise Invalid_argument on an unknown label. *)

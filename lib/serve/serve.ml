@@ -6,7 +6,6 @@ module C = Tangled_x509.Certificate
 module Rs = Tangled_store.Root_store
 module Chain = Tangled_validation.Chain
 module BP = Tangled_pki.Blueprint
-module PD = Tangled_pki.Paper_data
 module Pop = Tangled_device.Population
 module Notary = Tangled_notary.Notary
 module Pipeline = Tangled_core.Pipeline
@@ -416,14 +415,7 @@ let check_deadline t deadline =
   if t.config.clock () > deadline then raise Deadline_exceeded
 
 let resolve_store t name : Rs.t option =
-  let u = t.world.Pipeline.universe in
   match name with
-  | "aosp41" -> Some (u.BP.aosp PD.V4_1)
-  | "aosp42" -> Some (u.BP.aosp PD.V4_2)
-  | "aosp43" -> Some (u.BP.aosp PD.V4_3)
-  | "aosp44" -> Some (u.BP.aosp PD.V4_4)
-  | "mozilla" -> Some u.BP.mozilla
-  | "ios7" -> Some u.BP.ios7
   | s when String.length s > 8 && String.sub s 0 8 = "handset:" -> (
       match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
       | Some i
@@ -431,7 +423,7 @@ let resolve_store t name : Rs.t option =
              && i < Array.length t.world.Pipeline.population.Pop.handsets ->
           Some t.world.Pipeline.population.Pop.handsets.(i).Pop.store
       | _ -> None)
-  | _ -> None
+  | s -> BP.store_of_name t.world.Pipeline.universe s
 
 let max_chain_length = 16
 

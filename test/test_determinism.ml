@@ -1,8 +1,8 @@
 (* The refactor's central contract: the domain-parallel build phase
    must be invisible in the output.  Every artefact the study produces
-   has to be byte-identical whatever the worker count, and the coverage
-   index has to agree with a direct fold over the raw chain array for
-   arbitrary sub-stores. *)
+   has to be byte-identical whatever the worker count and equal to the
+   committed golden digest, and the coverage index has to agree with a
+   direct fold over the raw chain array for arbitrary sub-stores. *)
 
 module PD = Tangled_pki.Paper_data
 module BP = Tangled_pki.Blueprint
@@ -12,6 +12,7 @@ module Authority = Tangled_x509.Authority
 module Notary = Tangled_notary.Notary
 module Pipeline = Tangled_core.Pipeline
 module Report = Tangled_core.Report
+module Fleet = Tangled_ct.Fleet
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -22,6 +23,11 @@ let world_with_jobs jobs =
   Pipeline.run
     ~config:{ Pipeline.quick_config with Pipeline.jobs }
     ~universe:(Lazy.force BP.default) ()
+
+(* built once, shared by every jobs-1-vs-4 case *)
+let w1 = lazy (world_with_jobs 1)
+let w4 = lazy (world_with_jobs 4)
+let report1 = lazy (Report.run_all (Lazy.force w1))
 
 (* the reference implementation the index replaced: one pass over the
    corpus per query, materialising each chain's anchor key *)
@@ -37,14 +43,27 @@ let scan_validated_by (n : Notary.t) store =
 
 let test_report_identical_across_jobs () =
   (* the full study, rendered twice: --jobs 1 vs --jobs 4 *)
-  let w1 = world_with_jobs 1 in
-  let w4 = world_with_jobs 4 in
+  let w4 = Lazy.force w4 in
   check Alcotest.int "resolved jobs differ" 4 w4.Pipeline.jobs;
-  check Alcotest.string "report bytes" (Report.run_all w1) (Report.run_all w4)
+  check Alcotest.string "report bytes" (Lazy.force report1) (Report.run_all w4)
+
+(* any byte of drift in the study fails here.  The golden is
+   test/report_quick_jobs1.sha256 (Golden_digest is generated from it);
+   perfbench's study workload reads the same file. *)
+let test_report_matches_golden () =
+  let digest =
+    Tangled_util.Hex.encode (Tangled_hash.Sha256.digest (Lazy.force report1))
+  in
+  if digest <> Golden_digest.hex then
+    Alcotest.failf
+      "jobs-1 quick report digest %s differs from the golden %s; if the \
+       drift is intended, write the new digest into \
+       test/report_quick_jobs1.sha256"
+      digest Golden_digest.hex
 
 let test_chains_identical_across_jobs () =
-  let w1 = world_with_jobs 1 in
-  let w4 = world_with_jobs 4 in
+  let w1 = Lazy.force w1 in
+  let w4 = Lazy.force w4 in
   (* the arena digest covers every DER byte and every column row, so
      one comparison pins the whole corpus — including interned anchor
      ids, whose assignment order must not depend on the worker count *)
@@ -62,6 +81,18 @@ let test_chains_identical_across_jobs () =
   in
   Alcotest.(check bool) "chain views byte-identical" true
     (fingerprint w1.Pipeline.notary = fingerprint w4.Pipeline.notary)
+
+(* the CT fleet is a sequential pass over the arena, so its log heads
+   inherit the corpus's jobs independence *)
+let test_ct_heads_identical_across_jobs () =
+  let heads w =
+    let w = Lazy.force w in
+    Fleet.entries
+      (Fleet.build ~seed:w.Pipeline.config.Pipeline.seed w.Pipeline.universe
+         w.Pipeline.notary)
+    |> Array.map (fun (e : Fleet.entry) -> Tangled_ct.Log.head_hex e.Fleet.log)
+  in
+  check Alcotest.(array string) "CT log heads" (heads w1) (heads w4)
 
 let test_index_agrees_with_scan_on_official_stores () =
   let w = Lazy.force world in
@@ -127,4 +158,8 @@ let suite =
     qtest prop_index_matches_scan;
     Alcotest.test_case "crosscheck fast path" `Quick test_crosscheck_fast_path;
     Alcotest.test_case "timings cover stages" `Quick test_timings_cover_stages;
+    Alcotest.test_case "report matches the golden digest" `Slow
+      test_report_matches_golden;
+    Alcotest.test_case "CT log heads identical: jobs 1 vs 4" `Slow
+      test_ct_heads_identical_across_jobs;
   ]

@@ -255,6 +255,12 @@ let test_input_digest () =
 let test_chaos_fixed_seed () =
   let w = Lazy.force chaos_world in
   let o = Chaos.run ~seed:12 ~rate:0.05 w in
+  (match
+     Tangled_obs.Obs.validate_trace
+       (Tangled_obs.Obs.trace_jsonl ~jobs:w.Pipeline.jobs ())
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "chaos run trace rejected: %s" e);
   check Alcotest.bool "all faults accounted" true o.Chaos.accounted_all;
   check Alcotest.bool "within tolerance" true o.Chaos.within_tolerance;
   check Alcotest.bool "table 1 exact" true o.Chaos.table1_exact;

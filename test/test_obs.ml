@@ -246,9 +246,9 @@ let prop_stable_view_ignores_volatile =
       in
       String.equal (capture xs) (capture ys))
 
-(* the end-to-end determinism contract: a full pipeline run's stable
-   trace is byte-identical whether the notary build used 1 worker
-   domain or 4 *)
+(* the end-to-end determinism contract: a full pipeline run's trace
+   passes its schema, and its stable view is byte-identical whether the
+   notary build used 1 worker domain or 4 *)
 let test_stable_trace_jobs_independent () =
   let capture jobs =
     Obs.reset_all ();
@@ -258,7 +258,11 @@ let test_stable_trace_jobs_independent () =
         ~universe:(Lazy.force Tangled_pki.Blueprint.default) ()
     in
     ignore w.Pipeline.jobs;
-    match Obs.stable_view (Obs.trace_jsonl ~jobs ()) with
+    let trace = Obs.trace_jsonl ~jobs () in
+    (match Obs.validate_trace trace with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "jobs %d pipeline trace rejected: %s" jobs e);
+    match Obs.stable_view trace with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in

@@ -187,6 +187,26 @@ let test_category_populations () =
     (Invalid_argument "Blueprint.store_of_category: unknown label nope") (fun () ->
       ignore (BP.store_of_category u "nope"))
 
+let test_store_of_name () =
+  let u = Lazy.force universe in
+  List.iter
+    (fun (name, store) ->
+      match BP.store_of_name u name with
+      | Some s -> check Alcotest.bool name true (s == store)
+      | None -> Alcotest.failf "%s not resolved" name)
+    [
+      ("aosp41", u.BP.aosp PD.V4_1);
+      ("aosp42", u.BP.aosp PD.V4_2);
+      ("aosp43", u.BP.aosp PD.V4_3);
+      ("aosp44", u.BP.aosp PD.V4_4);
+      ("mozilla", u.BP.mozilla);
+      ("ios7", u.BP.ios7);
+    ];
+  List.iter
+    (fun name ->
+      check Alcotest.bool ("unknown " ^ name) true (BP.store_of_name u name = None))
+    [ "aosp45"; "AOSP 4.4"; "handset:1"; "" ]
+
 let test_extra_index () =
   let u = Lazy.force universe in
   check Alcotest.int "index covers extras" (Array.length PD.extras)
@@ -243,4 +263,5 @@ let suite =
     ("interceptor untrusted", `Quick, test_interceptor_untrusted);
     ("determinism", `Slow, test_determinism);
     ("find root by name", `Quick, test_find_root_by_name);
+    ("official stores by short name", `Quick, test_store_of_name);
   ]

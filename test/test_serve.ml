@@ -1,9 +1,9 @@
 (* The trust-decision server: total decoding under fuzzed frames, and
    each robustness mechanism — admission control, deadlines,
    retry/backoff, snapshot degradation, drain — pinned by a unit test.
-   The full chaos composition runs in the drill ([serve --drill] and
-   the @check gate); here a pinned-seed drill run doubles as the
-   end-to-end regression. *)
+   The full chaos composition is the drill ([serve --drill]); here it
+   runs at its pinned seed (fault seed 12, rate 0.08, 600 requests) as
+   the end-to-end regression. *)
 
 module Pipeline = Tangled_core.Pipeline
 module Export = Tangled_core.Export
@@ -952,7 +952,7 @@ let test_ct_proofs_cached () =
 (* --- the composed drill at a pinned seed ------------------------------- *)
 
 let test_drill_pinned_seed () =
-  let o = Drill.run ~seed:12 ~rate:0.08 ~requests:200 (world ()) in
+  let o = Drill.run ~seed:12 ~rate:0.08 ~requests:600 (world ()) in
   List.iter
     (fun (name, passed) ->
       check Alcotest.bool ("drill check: " ^ name) true passed)
