@@ -1,12 +1,7 @@
-(* tangled-mass — command-line front end for the reproduction.
-
-   Subcommands:
-     tables    render one or all of the paper's tables
-     figures   render one of the paper's figures
-     report    run the full study and print every artefact
-     stores    inspect the synthetic official root stores
-     intercept run the §7 interception case study
-*)
+(* tangled-mass — command-line front end for the reproduction; the
+   subcommands are listed in [main_cmd] at the end.  Stdout carries only
+   each subcommand's output: logs, and report's observability section,
+   go to stderr. *)
 
 open Cmdliner
 
@@ -17,7 +12,7 @@ module Obs = Tangled_obs.Obs
 let setup_logs style_renderer level =
   Fmt_tty.setup_std_outputs ?style_renderer ();
   Logs.set_level level;
-  Logs.set_reporter (Logs_fmt.reporter ())
+  Logs.set_reporter (Logs_fmt.reporter ~app:Format.err_formatter ())
 
 let logs_term =
   Term.(const setup_logs $ Fmt_cli.style_renderer () $ Logs_cli.level ())
@@ -54,9 +49,9 @@ let jobs_arg =
 
 let csv_dir_arg =
   let doc = "Also dump each artefact's data as CSV into this directory." in
-  Arg.(value & opt (some string) None & info [ "csv-dir" ] ~docv:"DIR" ~doc)
+  Arg.(value & opt (some dir) None & info [ "csv-dir" ] ~docv:"DIR" ~doc)
 
-(* Flags the measurement subcommands (report, analyze, chaos, ingest)
+(* Flags the measurement subcommands (report, chaos, ingest, serve, ct)
    accept uniformly, so instrumentation is driven the same way
    everywhere.  `ingest` takes --seed/--jobs for interface uniformity
    even though replaying a recorded dataset uses neither. *)
@@ -105,72 +100,34 @@ let build_world ?(jobs = 0) seed sessions leaves key_bits =
                (Unix.gettimeofday () -. t0) world.Pipeline.jobs);
   world
 
-(* --- tables / figures ------------------------------------------------ *)
-
-let render_artefacts world names csv_dir =
-  List.iter
-    (fun name ->
-      print_endline (Report.render_one world name);
-      print_newline ();
-      match csv_dir with
-      | Some dir ->
-          let header, rows = Report.csv_one world name in
-          Tangled_util.Csv.write_file (Filename.concat dir (name ^ ".csv")) ~header rows
-      | None -> ())
-    names
-
-let tables_cmd =
-  let which =
-    let doc = "Table number to render (1-6); defaults to all." in
-    Arg.(value & opt (some int) None & info [ "t"; "table" ] ~docv:"N" ~doc)
-  in
-  let run () seed sessions leaves key_bits which csv_dir =
-    let world = build_world seed sessions leaves key_bits in
-    let names =
-      match which with
-      | Some n when n >= 1 && n <= 6 -> [ Printf.sprintf "table%d" n ]
-      | Some n -> invalid_arg (Printf.sprintf "no table %d in the paper" n)
-      | None -> [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6" ]
-    in
-    render_artefacts world names csv_dir
-  in
-  Cmd.v
-    (Cmd.info "tables" ~doc:"Regenerate the paper's tables")
-    Term.(const run $ logs_term $ seed_arg $ sessions_arg $ leaves_arg
-          $ key_bits_arg $ which $ csv_dir_arg)
-
-let figures_cmd =
-  let which =
-    let doc = "Figure number to render (1-3); defaults to all." in
-    Arg.(value & opt (some int) None & info [ "f"; "figure" ] ~docv:"N" ~doc)
-  in
-  let run () seed sessions leaves key_bits which csv_dir =
-    let world = build_world seed sessions leaves key_bits in
-    let names =
-      match which with
-      | Some n when n >= 1 && n <= 3 -> [ Printf.sprintf "figure%d" n ]
-      | Some n -> invalid_arg (Printf.sprintf "no figure %d in the paper" n)
-      | None -> [ "figure1"; "figure2"; "figure3" ]
-    in
-    render_artefacts world names csv_dir
-  in
-  Cmd.v
-    (Cmd.info "figures" ~doc:"Regenerate the paper's figures")
-    Term.(const run $ logs_term $ seed_arg $ sessions_arg $ leaves_arg
-          $ key_bits_arg $ which $ csv_dir_arg)
+(* --- report ------------------------------------------------------------ *)
 
 let report_cmd =
-  let run () common sessions leaves key_bits csv_dir =
+  let names_arg =
+    let names = Report.artefact_names @ Report.extension_names in
+    let doc =
+      "Artefacts to print, in the order given: "
+      ^ Arg.doc_alts names
+      ^ ".  With none, the full report: every artefact under its section \
+         headers."
+    in
+    Arg.(value & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+         & info [] ~docv:"ARTEFACT" ~doc)
+  in
+  let run () common sessions leaves key_bits csv_dir names =
     let world = build_world ~jobs:common.jobs common.seed sessions leaves key_bits in
-    print_string (Report.run_all ?csv_dir world);
-    print_newline ();
-    print_string (Obs.render ());
+    print_string
+      (match names with
+      | [] -> Report.run_all ?csv_dir world
+      | names -> Report.render ?csv_dir world names);
+    prerr_string (Obs.render ());
     write_trace ~jobs:world.Pipeline.jobs common
   in
   Cmd.v
-    (Cmd.info "report" ~doc:"Run the whole study: every table and figure")
+    (Cmd.info "report"
+       ~doc:"Print the study's tables, figures and extension analyses")
     Term.(const run $ logs_term $ common_term $ sessions_arg $ leaves_arg
-          $ key_bits_arg $ csv_dir_arg)
+          $ key_bits_arg $ csv_dir_arg $ names_arg)
 
 (* --- stores ----------------------------------------------------------- *)
 
@@ -223,37 +180,6 @@ let stores_cmd =
     (Cmd.info "stores" ~doc:"Inspect the synthetic official root stores")
     Term.(const run $ logs_term $ seed_arg $ key_bits_arg $ store_arg $ pem_arg
           $ cacerts_arg)
-
-(* --- analyze (extension analyses) -------------------------------------- *)
-
-let analyze_cmd =
-  let which =
-    let doc =
-      "Which analysis to run: minimization (§5.3), scoping (§8), pinning (§7), \
-       ingest (export→import reconciliation); defaults to all."
-    in
-    Arg.(value & opt (some string) None & info [ "a"; "analysis" ] ~docv:"NAME" ~doc)
-  in
-  let run () common sessions leaves key_bits which csv_dir =
-    let world = build_world ~jobs:common.jobs common.seed sessions leaves key_bits in
-    let names =
-      match which with
-      | Some n when List.mem n Report.extension_names -> [ n ]
-      | Some n ->
-          invalid_arg
-            (Printf.sprintf "unknown analysis %S (expected: %s)" n
-               (String.concat ", " Report.extension_names))
-      | None -> Report.extension_names
-    in
-    render_artefacts world names csv_dir;
-    print_string (Obs.render ());
-    write_trace ~jobs:world.Pipeline.jobs common
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:"Run the extension analyses (store minimization, trust scoping, pinning)")
-    Term.(const run $ logs_term $ common_term $ sessions_arg $ leaves_arg
-          $ key_bits_arg $ which $ csv_dir_arg)
 
 (* --- export ------------------------------------------------------------- *)
 
@@ -504,11 +430,6 @@ let serve_cmd =
   in
   let run () common sessions leaves key_bits drill requests rate fault_seed
       queue_capacity batch deadline_ms cache_capacity =
-    (* stdout is the protocol channel in serve mode: human chatter
-       (world build progress, the closing summary table) goes to stderr
-       so piped clients read pure JSONL *)
-    if not drill then
-      Logs.set_reporter (Logs_fmt.reporter ~app:Format.err_formatter ());
     let world = build_world ~jobs:common.jobs common.seed sessions leaves key_bits in
     if drill then begin
       let outcome =
@@ -1022,23 +943,11 @@ let ct_cmd =
     Term.(const run $ logs_term $ common_term $ sessions_arg $ leaves_arg
           $ key_bits_arg $ prove_arg $ consistency_arg $ out_arg)
 
-(* --- intercept --------------------------------------------------------- *)
-
-let intercept_cmd =
-  let run () seed sessions leaves key_bits =
-    let world = build_world seed sessions leaves key_bits in
-    print_endline (Report.render_one world "table6")
-  in
-  Cmd.v
-    (Cmd.info "intercept" ~doc:"Run the TLS-interception case study (§7)")
-    Term.(const run $ logs_term $ seed_arg $ sessions_arg $ leaves_arg $ key_bits_arg)
-
 let main_cmd =
   let doc = "Reproduction of 'A Tangled Mass: The Android Root Certificate Stores'" in
   Cmd.group
     (Cmd.info "tangled-mass" ~version:"1.0.0" ~doc)
-    [ tables_cmd; figures_cmd; report_cmd; analyze_cmd; audit_cmd; export_cmd;
-      ingest_cmd; chaos_cmd; serve_cmd; sensitivity_cmd; scale_cmd; ct_cmd;
-      stores_cmd; intercept_cmd ]
+    [ report_cmd; audit_cmd; export_cmd; ingest_cmd; chaos_cmd; serve_cmd;
+      sensitivity_cmd; scale_cmd; ct_cmd; stores_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -285,8 +285,6 @@ let as_sequence = function Sequence l -> Some l | _ -> None
 let as_set = function Set l -> Some l | _ -> None
 let as_integer = function Integer i -> Some i | _ -> None
 let as_oid = function Oid o -> Some o | _ -> None
-let as_octet_string = function Octet_string s -> Some s | _ -> None
-let as_bit_string = function Bit_string (u, s) -> Some (u, s) | _ -> None
 
 let as_string = function
   | Utf8_string s | Printable_string s | Ia5_string s -> Some s

@@ -62,8 +62,6 @@ val as_sequence : t -> t list option
 val as_set : t -> t list option
 val as_integer : t -> Tangled_numeric.Bigint.t option
 val as_oid : t -> Oid.t option
-val as_octet_string : t -> string option
-val as_bit_string : t -> (int * string) option
 val as_string : t -> string option
 (** Any of the character-string types. *)
 

@@ -20,7 +20,10 @@ type t = {
   class_mix : (PD.notary_class * float) list;
 }
 
-let compute ?(min_row_sessions = 10) (w : Pipeline.t) =
+(* rows with fewer modified-store sessions are omitted, as in the paper *)
+let min_row_sessions = 10
+
+let compute (w : Pipeline.t) =
   let d = w.Pipeline.dataset in
   let universe = w.Pipeline.universe in
   let notary = w.Pipeline.notary in
@@ -81,7 +84,9 @@ let compute ?(min_row_sessions = 10) (w : Pipeline.t) =
   in
   { cells; class_mix }
 
-let render ?(max_rows = 60) t =
+let max_rows = 60
+
+let render t =
   let b = Buffer.create 4096 in
   Buffer.add_string b
     "Figure 2: additional certificates per manufacturer/operator row\n";

@@ -23,9 +23,11 @@ type t = {
           40.0% unrecorded *)
 }
 
-val compute : ?min_row_sessions:int -> Pipeline.t -> t
-(** Rows with fewer than [min_row_sessions] modified-store sessions are
-    omitted, as in the paper (default 10). *)
+val compute : Pipeline.t -> t
+(** Rows with fewer than 10 modified-store sessions are omitted, as in
+    the paper. *)
 
-val render : ?max_rows:int -> t -> string
+val render : t -> string
+(** The class mix and the first 60 cells; the CSV holds them all. *)
+
 val csv : t -> string list * string list list

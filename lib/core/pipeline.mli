@@ -60,5 +60,4 @@ val quick : t Lazy.t
     universe when this is the first use of it. *)
 
 val render_timings : t -> string
-(** The stage-timing table for this run — what [report]/[analyze]
-    print under their "timings" section. *)
+(** The stage-timing table for this run. *)

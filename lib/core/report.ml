@@ -1,64 +1,65 @@
-let artefact_names =
-  [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6";
-    "figure1"; "figure2"; "figure3" ]
+(* One artefact, computed once: its rendered text, and its CSV built
+   from the same value only when forced. *)
+let artefact compute render csv world =
+  let v = compute world in
+  (render v, lazy (csv v))
+
+let paper =
+  [
+    ("table1", artefact Table1.compute Table1.render Table1.csv);
+    ("table2", artefact Table2.compute Table2.render Table2.csv);
+    ("table3", artefact Table3.compute Table3.render Table3.csv);
+    ("table4", artefact Table4.compute Table4.render Table4.csv);
+    ("table5", artefact Table5.compute Table5.render Table5.csv);
+    ("table6", artefact Table6.compute Table6.render Table6.csv);
+    ("figure1", artefact Figure1.compute Figure1.render Figure1.csv);
+    ("figure2", artefact Figure2.compute Figure2.render Figure2.csv);
+    ("figure3", artefact Figure3.compute Figure3.render Figure3.csv);
+  ]
 
 (* The extension analyses beyond the paper's own artefacts: §5.3 store
    minimization, the §8 scoped-trust counterfactual, the §7 pinning
    counterfactual, the export→ingest reconciliation stats, and the CT
    visibility study. *)
-let extension_names = [ "minimization"; "scoping"; "pinning"; "ingest"; "ct" ]
+let extensions =
+  [
+    ("minimization", artefact Minimization.compute Minimization.render Minimization.csv);
+    ("scoping", artefact Scoping.compute Scoping.render Scoping.csv);
+    ("pinning", artefact Pinning_study.compute Pinning_study.render Pinning_study.csv);
+    ("ingest", artefact Ingest_report.compute Ingest_report.render Ingest_report.csv);
+    ("ct", artefact Ct_report.compute Ct_report.render Ct_report.csv);
+  ]
 
-let render_one world = function
-  | "table1" -> Table1.render (Table1.compute world)
-  | "table2" -> Table2.render (Table2.compute world)
-  | "table3" -> Table3.render (Table3.compute world)
-  | "table4" -> Table4.render (Table4.compute world)
-  | "table5" -> Table5.render (Table5.compute world)
-  | "table6" -> Table6.render (Table6.compute world)
-  | "figure1" -> Figure1.render (Figure1.compute world)
-  | "figure2" -> Figure2.render (Figure2.compute world)
-  | "figure3" -> Figure3.render (Figure3.compute world)
-  | "minimization" -> Minimization.render (Minimization.compute world)
-  | "scoping" -> Scoping.render (Scoping.compute world)
-  | "pinning" -> Pinning_study.render (Pinning_study.compute world)
-  | "ingest" -> Ingest_report.render (Ingest_report.compute world)
-  | "ct" -> Ct_report.render (Ct_report.compute world)
-  | other -> invalid_arg ("Report.render_one: unknown artefact " ^ other)
+let artefact_names = List.map fst paper
+let extension_names = List.map fst extensions
 
-let csv_one world = function
-  | "table1" -> Table1.csv (Table1.compute world)
-  | "table2" -> Table2.csv (Table2.compute world)
-  | "table3" -> Table3.csv (Table3.compute world)
-  | "table4" -> Table4.csv (Table4.compute world)
-  | "table5" -> Table5.csv (Table5.compute world)
-  | "table6" -> Table6.csv (Table6.compute world)
-  | "figure1" -> Figure1.csv (Figure1.compute world)
-  | "figure2" -> Figure2.csv (Figure2.compute world)
-  | "figure3" -> Figure3.csv (Figure3.compute world)
-  | "minimization" -> Minimization.csv (Minimization.compute world)
-  | "scoping" -> Scoping.csv (Scoping.compute world)
-  | "pinning" -> Pinning_study.csv (Pinning_study.compute world)
-  | "ingest" -> Ingest_report.csv (Ingest_report.compute world)
-  | "ct" -> Ct_report.csv (Ct_report.compute world)
-  | other -> invalid_arg ("Report.csv_one: unknown artefact " ^ other)
+let find fn name =
+  match List.assoc_opt name (paper @ extensions) with
+  | Some f -> f
+  | None -> invalid_arg (Printf.sprintf "Report.%s: unknown artefact %s" fn name)
 
-let run_all ?csv_dir ?(extensions = true) world =
+let render_one world name = fst (find "render_one" name world)
+let csv_one world name = Lazy.force (snd (find "csv_one" name world))
+
+let render ?csv_dir world names =
   let b = Buffer.create 16_384 in
-  let emit name =
-    Buffer.add_string b (render_one world name);
-    Buffer.add_string b "\n\n";
-    match csv_dir with
-    | Some dir ->
-        let header, rows = csv_one world name in
-        Tangled_util.Csv.write_file (Filename.concat dir (name ^ ".csv")) ~header rows
-    | None -> ()
-  in
-  Buffer.add_string b
-    "=== A Tangled Mass: reproduction report ===================================\n\n";
-  List.iter emit artefact_names;
-  if extensions then begin
-    Buffer.add_string b
-      "=== Extension analyses ====================================================\n\n";
-    List.iter emit extension_names
-  end;
+  List.iter
+    (fun name ->
+      let text, csv = find "render" name world in
+      Buffer.add_string b text;
+      Buffer.add_string b "\n\n";
+      match csv_dir with
+      | Some dir ->
+          let header, rows = Lazy.force csv in
+          Tangled_util.Csv.write_file (Filename.concat dir (name ^ ".csv")) ~header rows
+      | None -> ())
+    names;
   Buffer.contents b
+
+let run_all ?csv_dir world =
+  let paper = render ?csv_dir world artefact_names in
+  let extensions = render ?csv_dir world extension_names in
+  "=== A Tangled Mass: reproduction report ===================================\n\n"
+  ^ paper
+  ^ "=== Extension analyses ====================================================\n\n"
+  ^ extensions

@@ -71,16 +71,3 @@ let render stats =
            string_of_int (List.length s.values);
          ])
        stats)
-
-let csv stats =
-  ( [ "statistic"; "paper"; "mean"; "stddev"; "values" ],
-    List.map
-      (fun s ->
-        [
-          s.name;
-          Printf.sprintf "%.6f" s.paper;
-          Printf.sprintf "%.6f" s.mean;
-          Printf.sprintf "%.6f" s.stddev;
-          String.concat ";" (List.map (Printf.sprintf "%.6f") s.values);
-        ])
-      stats )

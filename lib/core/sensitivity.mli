@@ -23,4 +23,3 @@ val compute : ?seeds:int list -> ?config:Pipeline.config -> Pipeline.t -> stat l
     AOSP 4.4 zero-validation share. *)
 
 val render : stat list -> string
-val csv : stat list -> string list * string list list

@@ -8,7 +8,9 @@ type t = {
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-let compute ?(top = 5) (w : Pipeline.t) =
+let top = 5
+
+let compute (w : Pipeline.t) =
   let pop = w.Pipeline.population in
   let devices =
     Pop.sessions_by_model pop

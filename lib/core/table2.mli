@@ -6,6 +6,6 @@ type t = {
   top_manufacturers : (string * int) list;
 }
 
-val compute : ?top:int -> Pipeline.t -> t
+val compute : Pipeline.t -> t
 val render : t -> string
 val csv : t -> string list * string list list

@@ -37,8 +37,11 @@ type t = {
 let entries t = t.fleet
 let n_logs t = Array.length t.fleet
 
-let build ?(n_logs = 3) ?(min_admit = 0.55) ?(max_admit = 0.90) ~seed
-    (universe : Blueprint.t) notary =
+(* admission fractions spread linearly over this range *)
+let min_admit = 0.55
+let max_admit = 0.90
+
+let build ?(n_logs = 3) ~seed (universe : Blueprint.t) notary =
   if n_logs < 1 then invalid_arg "Fleet.build: n_logs must be >= 1";
   let base = Prng.create seed in
   let n_roots = Array.length universe.Blueprint.roots in
@@ -104,8 +107,6 @@ let leaf_der t e i =
     if i < 0 || i >= hm.n then None
     else Some (Arena.der (Notary.arena t.notary) hm.a.(i))
   end
-
-let logged_root_ids t = t.logged
 
 type store_row = {
   store_name : string;

@@ -23,16 +23,14 @@ type t
 
 val build :
   ?n_logs:int ->
-  ?min_admit:float ->
-  ?max_admit:float ->
   seed:int ->
   Tangled_pki.Blueprint.t ->
   Tangled_notary.Notary.t ->
   t
 (** Build [n_logs] (default 3) logs with admission fractions spread
-    linearly over [[min_admit, max_admit]] (defaults 0.55–0.90), then
-    run the submission pass over the whole corpus.  Deterministic in
-    [seed]; independent of how the notary was parallelised. *)
+    linearly over [[0.55, 0.90]], then run the submission pass over
+    the whole corpus.  Deterministic in [seed]; independent of how the
+    notary was parallelised. *)
 
 val entries : t -> entry array
 val n_logs : t -> int
@@ -44,10 +42,6 @@ val leaf_der : t -> entry -> int -> string option
 (** [leaf_der t e i] is the raw DER bytes of leaf [i] of [e.log] — the
     submission the log hashed — or [None] out of range.  Lets callers
     re-verify inclusion proofs from first principles. *)
-
-val logged_root_ids : t -> Tangled_engine.Id_set.t
-(** Roots with at least one submitted certificate in at least one log —
-    the "CT-visible" set. *)
 
 type store_row = {
   store_name : string;

@@ -113,7 +113,7 @@ let applicable json line_len = function
           List.mem_assoc "session_id" fields && List.mem_assoc "public_ip" fields
       | _ -> false)
 
-let inject ~seed ~rate ?(kinds = all_kinds) doc =
+let inject ~seed ~rate doc =
   let rng = Prng.create seed in
   let lines = String.split_on_char '\n' doc |> List.filter (fun l -> l <> "") in
   let header, records =
@@ -135,7 +135,7 @@ let inject ~seed ~rate ?(kinds = all_kinds) doc =
       else begin
         let json = match J.parse line with Ok j -> Some j | Error _ -> None in
         let usable =
-          List.filter (applicable json (String.length line)) kinds
+          List.filter (applicable json (String.length line)) all_kinds
         in
         match usable with
         | [] -> emit line

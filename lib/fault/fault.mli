@@ -68,11 +68,10 @@ type injection = {
 }
 
 val inject :
-  seed:int -> rate:float -> ?kinds:kind list -> string -> string * injection list
+  seed:int -> rate:float -> string -> string * injection list
 (** [inject ~seed ~rate doc] corrupts the JSONL document [doc]: each
     record independently suffers one fault with probability [rate],
-    the kind drawn uniformly from [kinds] (default {!all_kinds})
-    filtered to those applicable to the record.  The manifest line is
-    never touched.  Deterministic in [seed]; [rate = 0] is the
-    identity.  Returns the corrupted document and the ledger in
-    record order. *)
+    the kind drawn uniformly from {!all_kinds} filtered to those
+    applicable to the record.  The manifest line is never touched.
+    Deterministic in [seed]; [rate = 0] is the identity.  Returns the
+    corrupted document and the ledger in record order. *)

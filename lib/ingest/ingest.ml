@@ -566,12 +566,6 @@ let validated_fraction (t : chain_view ingest) =
 
 let via_intermediate_fraction t = fraction (fun c -> c.via_intermediate) t
 
-let per_anchor_counts (t : chain_view ingest) =
-  counted_desc
-    (Array.to_list t.records
-    |> List.filter_map (fun c ->
-           if c.expired then None else c.anchor))
-
 let store_sizes (t : cert_view ingest) =
   let order = ref [] in
   let tbl = Hashtbl.create 8 in

@@ -168,10 +168,6 @@ val validated_fraction : chain_view ingest -> float
 
 val via_intermediate_fraction : chain_view ingest -> float
 
-val per_anchor_counts : chain_view ingest -> (string * int) list
-(** Unexpired validated-chain count per anchor id, descending — the
-    ingested analogue of [Notary.per_root_counts]. *)
-
 val store_sizes : cert_view ingest -> (string * int) list
 (** [store name -> certificates], in first-seen order — Table 1 from
     ingested data. *)

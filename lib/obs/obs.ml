@@ -148,7 +148,6 @@ let counter name =
 let incr c = if enabled () then Atomic.incr c.c_value
 let add c n = if enabled () then ignore (Atomic.fetch_and_add c.c_value n)
 let value c = Atomic.get c.c_value
-let counter_name c = c.c_name
 
 let counters () =
   Mutex.lock counter_lock;

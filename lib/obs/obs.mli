@@ -83,7 +83,6 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val counter_name : counter -> string
 
 val counters : unit -> (string * int) list
 (** All counters, sorted by name. *)

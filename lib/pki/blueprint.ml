@@ -399,8 +399,6 @@ let store_of_name t = function
   | "ios7" -> Some t.ios7
   | _ -> None
 
-let category_labels = List.map (fun (l, _, _) -> l) PD.table4_rows
-
 let store_of_category t label =
   let certs pred =
     Array.to_list t.roots |> List.filter pred

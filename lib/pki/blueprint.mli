@@ -77,6 +77,3 @@ val store_of_name : t -> string -> Tangled_store.Root_store.t option
 val store_of_category : t -> string -> Tangled_x509.Certificate.t list
 (** The certificate population of a Table 4 category, by its paper row
     label.  @raise Invalid_argument on an unknown label. *)
-
-val category_labels : string list
-(** The Table 4 row labels accepted by {!store_of_category}. *)

@@ -1000,7 +1000,7 @@ let summary_json t =
           ] );
     ]
 
-let serve_channel ?(summary_frame = true) t ic oc =
+let serve_channel t ic oc =
   (* complete lines read but not yet served, and the unterminated tail
      of the last read *)
   let pending = Queue.create () in
@@ -1056,11 +1056,9 @@ let serve_channel ?(summary_frame = true) t ic oc =
     end
   in
   loop ();
-  if summary_frame then begin
-    output_string oc (J.to_string (summary_json t));
-    output_char oc '\n';
-    flush oc
-  end;
+  output_string oc (J.to_string (summary_json t));
+  output_char oc '\n';
+  flush oc;
   summary t
 
 (* --- rendering ---------------------------------------------------------- *)

@@ -196,11 +196,10 @@ val serve_burst : t -> string list -> string list
     always completes).  Returns exactly one response line per input
     frame, in input order.  Never raises. *)
 
-val serve_channel : ?summary_frame:bool -> t -> in_channel -> out_channel -> summary
+val serve_channel : t -> in_channel -> out_channel -> summary
 (** The stdin/socket loop: take the complete frames already received,
     at most [batch], answer them, flush, repeat until EOF or a
-    processed [drain]; then emit a final summary frame
-    ([summary_frame], default true) and return the totals.  It blocks
-    only while no complete frame is pending, so an interactive client
-    that sends one frame and waits gets its answer.  EOF counts as a
-    clean drain. *)
+    processed [drain]; then emit a final summary frame and return the
+    totals.  It blocks only while no complete frame is pending, so an
+    interactive client that sends one frame and waits gets its answer.
+    EOF counts as a clean drain. *)

@@ -7,12 +7,6 @@ type scope =
   | Email
   | Device_services
 
-let scope_to_string = function
-  | Tls_server -> "tls-server"
-  | Code_signing -> "code-signing"
-  | Email -> "email"
-  | Device_services -> "device-services"
-
 let all_scopes = [ Tls_server; Code_signing; Email; Device_services ]
 
 let contains_ci hay needle =

@@ -12,7 +12,6 @@ type scope =
   | Email
   | Device_services  (** FOTA, SUPL, operator APIs — the §5.1 specials *)
 
-val scope_to_string : scope -> string
 val all_scopes : scope list
 
 val infer : Tangled_x509.Certificate.t -> scope list

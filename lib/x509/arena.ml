@@ -111,7 +111,6 @@ let append t ~der ~subject_id ~issuer_id ~anchor_id ~not_before ~not_after
   t.n <- h + 1;
   h
 
-let der_offset t h = check t h; get t h col_off
 let der_length t h = check t h; get t h col_len
 let subject_id t h = check t h; get t h col_subject
 let issuer_id t h = check t h; get t h col_issuer

@@ -75,7 +75,6 @@ val length : t -> int
 
 (** {2 Column reads} — O(1), no heap traffic beyond the result. *)
 
-val der_offset : t -> int -> int
 val der_length : t -> int -> int
 val subject_id : t -> int -> int
 val issuer_id : t -> int -> int

@@ -206,6 +206,47 @@ let test_universe_stage_times_forcing () =
     (Printf.sprintf "universe stage %.3fs covers the %.2fs forcing" dur pause)
     true (dur >= pause)
 
+(* Each artefact is computed once per call: the CSV dump reuses the
+   value the text was rendered from, so [run_all ~csv_dir] runs the
+   export→ingest round trip (three [ingest.run] spans) no more often
+   than [run_all] alone, and every file it writes is [csv_one]'s CSV. *)
+let test_csv_dir_computes_once () =
+  let module Obs = Tangled_obs.Obs in
+  let w = Lazy.force world in
+  let ingest_runs f =
+    let (), mark = Obs.spanned "test.mark" ignore in
+    let v = f () in
+    let n =
+      List.length
+        (List.filter
+           (fun (s : Obs.span) -> s.Obs.id > mark.Obs.id && s.Obs.name = "ingest.run")
+           (Obs.spans ()))
+    in
+    (v, n)
+  in
+  let dir = Filename.temp_dir "tangled_report" "" in
+  let remove_dir () =
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:remove_dir @@ fun () ->
+  let plain, plain_runs = ingest_runs (fun () -> Report.run_all w) in
+  let dumped, dumped_runs = ingest_runs (fun () -> Report.run_all ~csv_dir:dir w) in
+  check Alcotest.int "ingest.run spans without a CSV dump" 3 plain_runs;
+  check Alcotest.int "ingest.run spans with a CSV dump" 3 dumped_runs;
+  check Alcotest.string "same report either way" plain dumped;
+  let names = Report.artefact_names @ Report.extension_names in
+  check Alcotest.int "one CSV per artefact" (List.length names)
+    (Array.length (Sys.readdir dir));
+  List.iter
+    (fun name ->
+      let written =
+        In_channel.with_open_bin (Filename.concat dir (name ^ ".csv")) In_channel.input_all
+      in
+      let header, rows = Report.csv_one w name in
+      check Alcotest.string (name ^ ".csv") (Tangled_util.Csv.render ~header rows) written)
+    names
+
 let suite =
   [
     ("Table 1 exact", `Quick, test_table1_exact);
@@ -221,4 +262,5 @@ let suite =
     ("all artefacts dump CSV", `Quick, test_csv_outputs);
     ("pipeline determinism", `Slow, test_pipeline_determinism);
     ("universe stage times a lazy universe", `Quick, test_universe_stage_times_forcing);
+    ("CSV dump computes each artefact once", `Quick, test_csv_dir_computes_once);
   ]
