@@ -47,6 +47,11 @@ module Hex = Tangled_util.Hex
 (* built on first use: only the ablations read it *)
 let world = lazy (Lazy.force Pipeline.quick)
 
+let render_timings (w : Pipeline.t) =
+  Obs.render_span_table
+    ~title:(Printf.sprintf "Stage timings (jobs=%d)" w.Pipeline.jobs)
+    (List.map (fun (s : Obs.span) -> (s.Obs.name, s.Obs.dur_s)) w.Pipeline.timings)
+
 (* --- wide_kernel: the one Montgomery plane across widths ------------------ *)
 
 let wide_kernel_widths = [ 384; 512; 768; 1024; 1536; 2048 ]
@@ -300,7 +305,7 @@ let () =
     Printf.printf "building the shared world (quick config)...\n%!";
     ignore (Lazy.force world);
     Printf.printf "world ready in %.1fs\n\n%!" (Unix.gettimeofday () -. t0);
-    print_string (Pipeline.render_timings (Lazy.force world));
+    print_string (render_timings (Lazy.force world));
     print_newline ();
     run_group "ablations" (ablation_tests ())
   end;

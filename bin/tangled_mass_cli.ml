@@ -511,24 +511,11 @@ let audit_cmd =
   let run () seed key_bits pem_file baseline =
     let module Rs = Tangled_store.Root_store in
     let module C = Tangled_x509.Certificate in
-    let module Pem = Tangled_x509.Pem in
     let baseline_store = official_store ~seed ~key_bits baseline in
     let load_store () =
       if Sys.is_directory pem_file then
         Tangled_store.Cacerts_dir.read ~name:"audited" pem_file
-      else begin
-        match Pem.decode_all (read_whole_file pem_file) with
-        | Error _ as e -> e
-        | Ok blocks ->
-            let certs =
-              List.filter_map
-                (fun (label, der) ->
-                  if label <> "CERTIFICATE" then None
-                  else match C.decode der with Ok c -> Some c | Error _ -> None)
-                blocks
-            in
-            Ok (Rs.of_certs "audited" Rs.User certs)
-      end
+      else Rs.of_pem "audited" Rs.User (read_whole_file pem_file)
     in
     match load_store () with
     | Error m -> prerr_endline ("audit: " ^ m); exit 1

@@ -56,7 +56,7 @@ let run_lazy ?(config = default_config) ?universe () =
           stage "universe" (fun () ->
               match universe with
               | Some u -> Lazy.force u
-              | None -> BP.build ~key_bits:config.key_bits ~seed:config.seed ())
+              | None -> BP.build ~key_bits:config.key_bits ~jobs ~seed:config.seed ())
         in
         let population =
           stage "population" (fun () ->
@@ -88,8 +88,3 @@ let run ?config ?universe () =
   run_lazy ?config ?universe:(Option.map Lazy.from_val universe) ()
 
 let quick = lazy (run_lazy ~config:quick_config ~universe:BP.default ())
-
-let render_timings t =
-  Obs.render_span_table
-    ~title:(Printf.sprintf "Stage timings (jobs=%d)" t.jobs)
-    (List.map (fun (s : Obs.span) -> (s.Obs.name, s.Obs.dur_s)) t.timings)

@@ -2,8 +2,8 @@
     the device population, run the Netalyzr collection and the Notary
     observation — everything the per-table analyses consume.
 
-    Each stage is timed; the spans are kept on the result so [report]
-    and the bench harness can surface where the wall-clock goes. *)
+    Each stage is timed; the spans are kept on the result so the bench
+    harness can surface where the wall-clock goes. *)
 
 type config = {
   seed : int;
@@ -13,7 +13,8 @@ type config = {
   key_bits : int;
   probe_sample : float;
   jobs : int;
-      (** worker domains for the Notary build phase; [<= 0] means
+      (** worker domains for the universe's keys and the Notary
+          build (when the run builds them); [<= 0] means
           auto ([Domain.recommended_domain_count], capped).  Artefacts
           are byte-identical at any value. *)
 }
@@ -58,6 +59,3 @@ val quick : t Lazy.t
     {!Tangled_pki.Blueprint.default}, shared by tests, examples and
     benches.  Its "universe" span includes building the default
     universe when this is the first use of it. *)
-
-val render_timings : t -> string
-(** The stage-timing table for this run. *)

@@ -135,10 +135,9 @@ let plane_modulus n =
 
 let f4 = B.of_int 65537
 
-(* prime pairs whose product came out a bit short of the requested
-   width: the whole pair is drawn again *)
-let c_short_modulus = Tangled_obs.Obs.counter "rsa.keygen_short_modulus"
-
+(* Both primes have their top two bits set (Prime.generate), so n = p·q
+   always has exactly [bits] bits and no pair is drawn again for a
+   short modulus. *)
 let generate ?(mr_rounds = 20) rng ~bits =
   if bits < 64 then invalid_arg "Rsa.generate: modulus below 64 bits";
   if bits > Mont.max_bits then invalid_arg "Rsa.generate: modulus above 3528 bits";
@@ -150,23 +149,17 @@ let generate ?(mr_rounds = 20) rng ~bits =
     if B.equal p q then attempt ()
     else begin
       let n = B.mul p q in
-      if B.bit_length n <> bits then begin
-        Tangled_obs.Obs.incr c_short_modulus;
-        attempt ()
-      end
-      else begin
-        let phi = B.mul (B.sub p B.one) (B.sub q B.one) in
-        let e = f4 in
-        match B.mod_inverse e phi with
-        | Some d ->
-            let dp = B.erem d (B.sub p B.one) in
-            let dq = B.erem d (B.sub q B.one) in
-            (* p and q are distinct primes, so the inverse exists *)
-            let qinv = Option.get (B.mod_inverse q p) in
-            let signer = make_signer ~p ~q ~dp ~dq ~qinv in
-            { pub = make_public ~n ~e; d; p; q; dp; dq; qinv; signer }
-        | None -> attempt ()
-      end
+      let phi = B.mul (B.sub p B.one) (B.sub q B.one) in
+      let e = f4 in
+      match B.mod_inverse e phi with
+      | Some d ->
+          let dp = B.erem d (B.sub p B.one) in
+          let dq = B.erem d (B.sub q B.one) in
+          (* p and q are distinct primes, so the inverse exists *)
+          let qinv = Option.get (B.mod_inverse q p) in
+          let signer = make_signer ~p ~q ~dp ~dq ~qinv in
+          { pub = make_public ~n ~e; d; p; q; dp; dq; qinv; signer }
+      | None -> attempt ()
     end
   in
   attempt ()

@@ -39,13 +39,15 @@ val generate : ?mr_rounds:int -> Tangled_util.Prng.t -> bits:int -> keypair
 (** [generate rng ~bits] makes a fresh keypair with a [bits]-bit
     modulus and public exponent 65537.  [mr_rounds] tunes the
     Miller–Rabin confidence of the prime search (default 20); bulk
-    generators trade it down.  It draws p then q with
-    {!Tangled_numeric.Prime.generate} and draws the pair again when
-    p = q, when p·q comes out short of [bits], or when 65537 is not
-    invertible mod (p-1)(q-1).  That draw sequence is part of the
-    contract: seeded worlds depend on it for every key, so the
+    generators trade it down.  It draws p (⌈bits/2⌉ bits) then q
+    (⌊bits/2⌋ bits) with {!Tangled_numeric.Prime.generate}, whose
+    candidates have their top two bits set, so p·q always has exactly
+    [bits] bits; the pair is drawn again only when p = q or when 65537
+    is not invertible mod (p-1)(q-1).  That draw sequence is part of
+    the contract: seeded worlds depend on it for every key, so the
     candidates that reach Miller–Rabin and the bases they draw must
-    not move.
+    not move.  A key depends only on [rng]'s draws, so keys drawn from
+    separate streams are the same on any domain.
     @raise Invalid_argument when [bits < 64] or [bits] exceeds
     {!Tangled_numeric.Montgomery.max_bits} (3 528). *)
 

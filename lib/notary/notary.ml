@@ -113,11 +113,17 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
   let now = Ts.paper_epoch in
   let digest = Tangled_hash.Digest_kind.SHA1 in
   let bits = universe.BP.key_bits in
-  (* reusable subject-key pools (see Authority.issue_leaf docs) *)
+  (* reusable subject-key pools (see Authority.issue_leaf docs): leaf
+     keys in slots [0, key_pool_size), intermediate keys above, each
+     from its own stream split off by its slot, so one parallel batch
+     makes the same pool at any [jobs] *)
   let leaf_keys, inter_keys =
     Obs.span "notary.keys" (fun () ->
-        ( Array.init key_pool_size (fun _ -> Rsa.generate ~mr_rounds:6 rng_keys ~bits),
-          Array.init key_pool_size (fun _ -> Rsa.generate ~mr_rounds:6 rng_keys ~bits) ))
+        let pool =
+          Parallel.tabulate ~jobs (2 * key_pool_size) (fun slot ->
+              Rsa.generate ~mr_rounds:6 (Prng.split rng_keys (string_of_int slot)) ~bits)
+        in
+        (Array.sub pool 0 key_pool_size, Array.sub pool key_pool_size key_pool_size))
   in
   (* issuers: every traffic-active public root and private CA *)
   let public_issuers =

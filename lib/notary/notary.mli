@@ -69,8 +69,10 @@ val generate :
     Per-root leaf counts use largest-remainder apportionment of the
     traffic weights so every active root validates at least one
     certificate.  About half the chains go through an intermediate CA.
-    [jobs] (default 1) bounds the worker domains used for the build
-    phase.  Deterministic in [seed], independent of [jobs].
+    [jobs] (default 1) bounds the worker domains used for the key
+    pool and the build phase.  Deterministic in [seed], independent of
+    [jobs]: each pool key draws from its own stream, split off the
+    seed's ["notary-keys"] stream by its slot.
 
     Every chain's signatures were produced one stack frame up, so
     generation cryptographically verifies a deterministic 1-in-64

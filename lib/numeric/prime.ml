@@ -97,9 +97,11 @@ let is_probably_prime ?(rounds = 20) rng n =
 let generate ?(rounds = 20) rng ~bits =
   if bits < 2 then invalid_arg "Prime.generate: need at least 2 bits";
   if bits > Montgomery.max_bits then invalid_arg too_wide;
-  let top = Bigint.shift_left Bigint.one (bits - 1) in
+  (* the top two bits are set, so two primes of b1 and b2 bits have a
+     product of exactly b1 + b2 bits: (3/4)^2 * 2^(b1+b2) > 2^(b1+b2-1) *)
+  let top = Bigint.shift_left (Bigint.of_int 3) (bits - 2) in
   let rec attempt () =
-    let r = Bigint.random_bits rng (bits - 1) in
+    let r = Bigint.random_bits rng (bits - 2) in
     let candidate = Bigint.add top r in
     let candidate =
       if Bigint.is_odd candidate then candidate else Bigint.add candidate Bigint.one

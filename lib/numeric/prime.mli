@@ -24,13 +24,16 @@ val is_probably_prime : ?rounds:int -> Tangled_util.Prng.t -> Bigint.t -> bool
 
 val generate : ?rounds:int -> Tangled_util.Prng.t -> bits:int -> Bigint.t
 (** [generate rng ~bits] is a random probable prime with exactly [bits]
-    bits (top bit set), found by incremental search from a random odd
-    starting point: each starting point draws [bits - 1] random bits,
-    its candidates step by 2 and are tested exactly as
-    {!is_probably_prime} would, and a run of 400 failures or an
-    overflow past [bits] draws a new starting point.  The small-factor
-    sieve works on residues computed once per starting point.
-    [rounds] is passed to {!is_probably_prime}
+    bits and its top two bits set, found by incremental search from a
+    random odd starting point: each starting point is [0b11] followed
+    by [bits - 2] random bits (made odd), its candidates step by 2 and
+    are tested exactly as {!is_probably_prime} would, and a run of 400
+    failures or an overflow past [bits] draws a new starting point.
+    The prefix puts every result at or above [3 * 2^(bits-2)], which
+    meets FIPS 186-4 §B.3's [sqrt 2 * 2^(bits-1)] bound, so the product
+    of two such primes of [b1] and [b2] bits always has exactly
+    [b1 + b2] bits.  The small-factor sieve works on residues computed
+    once per starting point.  [rounds] is passed to {!is_probably_prime}
     (default 20; the PKI generator uses fewer — random candidates fail
     Miller–Rabin far more often than the worst-case 4{^-rounds} bound).
     @raise Invalid_argument if [bits < 2] or [bits > Montgomery.max_bits]. *)

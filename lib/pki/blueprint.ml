@@ -7,6 +7,7 @@ module C = Tangled_x509.Certificate
 module Rs = Tangled_store.Root_store
 module B = Tangled_numeric.Bigint
 module Interner = Tangled_engine.Interner
+module Parallel = Tangled_engine.Parallel
 
 type root = {
   id : int;
@@ -71,19 +72,30 @@ let versions_from v =
   in
   drop all_versions
 
-let build ?(key_bits = 384) ~seed () =
+(* A self-signed authority as [build] plans it: its subject and any
+   non-default version or validity.  Its serial is [first_serial] plus
+   its slot, the order it was planned in. *)
+type spec = {
+  dn : Dn.t;
+  version : int option;
+  not_before : Ts.t option;
+  not_after : Ts.t option;
+}
+
+let first_serial = 101
+
+let build ?(key_bits = 384) ?(jobs = Parallel.default_jobs ()) ~seed () =
   let master = Prng.create seed in
   let rng_keys = Prng.split master "blueprint-keys" in
   let rng_names = Prng.split master "blueprint-names" in
   let fresh_name = name_supply rng_names in
-  let serial = ref 100 in
-  (* 2014-era roots were overwhelmingly sha1WithRSA — which also lets
-     the default 384-bit simulation keys hold the PKCS#1 padding. *)
-  let digest = Tangled_hash.Digest_kind.SHA1 in
-  let mk_authority ?version ?not_before ?not_after dn =
-    incr serial;
-    Authority.self_signed ~bits:key_bits ~serial:(B.of_int !serial) ~digest ?version
-      ?not_before ?not_after rng_keys dn
+  (* Planning draws every name and gives each self-signed authority a
+     slot; one parallel batch then makes all the authorities, and each
+     planned root (a draft, waiting for its authority) is finished. *)
+  let specs = Queue.create () in
+  let plan ?version ?not_before ?not_after dn =
+    Queue.add { dn; version; not_before; not_after } specs;
+    Queue.length specs - 1
   in
   (* --- store-member roots ------------------------------------------- *)
   let make_population ~count ~actives ~shares ~in_aosp ~in_mozilla ~in_ios_fn () =
@@ -93,26 +105,27 @@ let build ?(key_bits = 384) ~seed () =
         let display_name = match name with cn, _, _ -> cn in
         let active = i < actives in
         let weight = if active then shares.(i) else 0.0 in
-        let authority =
+        let slot =
           if display_name = firmaprofesional then
             (* the expired AOSP root the paper singles out (§2) *)
-            mk_authority
+            plan
               ~not_before:(Ts.of_date 2001 10 24)
               ~not_after:(Ts.of_date 2013 10 24)
               (dn_of_name name)
-          else mk_authority (dn_of_name name)
+          else plan (dn_of_name name)
         in
-        {
-          id = -1;  (* minted once the full root array is assembled *)
-          authority;
-          display_name;
-          in_aosp;
-          in_mozilla;
-          in_ios = in_ios_fn i active;
-          traffic_weight = weight;
-          extra = None;
-          mozilla_variant = None;
-        })
+        fun authorities ->
+          {
+            id = -1;  (* minted once the full root array is assembled *)
+            authority = authorities.(slot);
+            display_name;
+            in_aosp;
+            in_mozilla;
+            in_ios = in_ios_fn i active;
+            traffic_weight = weight;
+            extra = None;
+            mozilla_variant = None;
+          })
   in
   (* shared (AOSP ∩ Mozilla) populations per version of first appearance *)
   let shared_41 =
@@ -122,27 +135,6 @@ let build ?(key_bits = 384) ~seed () =
       ~in_aosp:all_versions ~in_mozilla:true
       ~in_ios_fn:(fun i active -> active || i < shared_41_active + ios_shared_zeros)
       ()
-  in
-  (* move the expired Firmaprofesional root into the zero-weight set:
-     swap its activity with the last active slot if it landed active *)
-  let shared_41 =
-    match
-      Array.to_seq shared_41
-      |> Seq.zip (Seq.ints 0)
-      |> Seq.find (fun (_, r) -> r.display_name = firmaprofesional)
-    with
-    | Some (i, r) when r.traffic_weight > 0.0 ->
-        (* hand its weight to the first zero-weight root and its iOS
-           slot to the next root outside the iOS window, keeping both
-           the active count and the iOS membership count intact *)
-        let j = shared_41_active in
-        let k = shared_41_active + ios_shared_zeros in
-        let copy = Array.copy shared_41 in
-        copy.(i) <- { r with traffic_weight = 0.0; in_ios = false };
-        copy.(j) <- { copy.(j) with traffic_weight = r.traffic_weight };
-        copy.(k) <- { copy.(k) with in_ios = true };
-        copy
-    | _ -> shared_41
   in
   let shared_42 =
     make_population ~count:(fst (PD.aosp_version_delta PD.V4_2)) ~actives:0
@@ -250,23 +242,82 @@ let build ?(key_bits = 384) ~seed () =
               Dn.CN "DoD CLASS 3 Root CA" ]
           else Dn.make ~o:x.xc_name x.xc_name
         in
-        {
-          id = -1;
-          authority = mk_authority dn;
-          display_name = x.xc_name;
-          in_aosp = [];
-          in_mozilla = (x.xc_class = PD.Mozilla_and_ios);
-          in_ios = (match x.xc_class with PD.Mozilla_and_ios | PD.Ios_only -> true | _ -> false);
-          traffic_weight = weight;
-          extra = Some x;
-          mozilla_variant = None;
-        })
+        let slot = plan dn in
+        fun authorities ->
+          {
+            id = -1;
+            authority = authorities.(slot);
+            display_name = x.xc_name;
+            in_aosp = [];
+            in_mozilla = (x.xc_class = PD.Mozilla_and_ios);
+            in_ios =
+              (match x.xc_class with PD.Mozilla_and_ios | PD.Ios_only -> true | _ -> false);
+            traffic_weight = weight;
+            extra = Some x;
+            mozilla_variant = None;
+          })
       PD.extras
+  in
+  (* --- traffic-only private CAs, rooted-device CAs, the interceptor --- *)
+  let rng_priv = Prng.split master "blueprint-private" in
+  let private_slots =
+    Array.init n_private_cas (fun i -> plan (Dn.make (Ca_names.private_ca rng_priv i)))
+  in
+  let rooted_slots =
+    List.map (fun (name, _) -> (name, plan ~version:1 (Dn.make name))) PD.rooted_cas
+  in
+  let interceptor_slot =
+    plan (Dn.make ~o:PD.interceptor_name (PD.interceptor_name ^ " Root CA"))
+  in
+  (* --- every self-signed authority, in one parallel batch ------------- *)
+  (* 2014-era roots were overwhelmingly sha1WithRSA — which also lets
+     the default 384-bit simulation keys hold the PKCS#1 padding. *)
+  let digest = Tangled_hash.Digest_kind.SHA1 in
+  let specs = Array.of_seq (Queue.to_seq specs) in
+  let authorities =
+    Parallel.tabulate ~jobs (Array.length specs) (fun slot ->
+        let s = specs.(slot) in
+        let serial = first_serial + slot in
+        (* each key draws only from its own stream, split off by its
+           serial, so no worker count can change an authority *)
+        Authority.self_signed ~bits:key_bits ~serial:(B.of_int serial) ~digest
+          ?version:s.version ?not_before:s.not_before ?not_after:s.not_after
+          (Prng.split rng_keys (string_of_int serial))
+          s.dn)
+  in
+  (* the rest of the build, and most of what uses a universe, runs on
+     one domain, which idle workers would slow at every minor
+     collection *)
+  Parallel.release ();
+  let finish drafts = Array.map (fun draft -> draft authorities) drafts in
+  (* move the expired Firmaprofesional root into the zero-weight set:
+     swap its activity with the last active slot if it landed active *)
+  let shared_41 =
+    let shared_41 = finish shared_41 in
+    match
+      Array.to_seq shared_41
+      |> Seq.zip (Seq.ints 0)
+      |> Seq.find (fun (_, r) -> r.display_name = firmaprofesional)
+    with
+    | Some (i, r) when r.traffic_weight > 0.0 ->
+        (* hand its weight to the first zero-weight root and its iOS
+           slot to the next root outside the iOS window, keeping both
+           the active count and the iOS membership count intact *)
+        let j = shared_41_active in
+        let k = shared_41_active + ios_shared_zeros in
+        let copy = Array.copy shared_41 in
+        copy.(i) <- { r with traffic_weight = 0.0; in_ios = false };
+        copy.(j) <- { copy.(j) with traffic_weight = r.traffic_weight };
+        copy.(k) <- { copy.(k) with in_ios = true };
+        copy
+    | _ -> shared_41
   in
   let roots =
     Array.concat
-      [ shared_41; shared_42; shared_43; shared_44; only_41; only_43; only_44;
-        mozilla_excl; ios_excl; extra_roots ]
+      (shared_41
+      :: List.map finish
+           [ shared_42; shared_43; shared_44; only_41; only_43; only_44;
+             mozilla_excl; ios_excl; extra_roots ])
   in
   (* Mozilla re-issues some shared roots (equivalent, byte-distinct):
      130 shared, 117 byte-identical across stores (§2). *)
@@ -295,25 +346,16 @@ let build ?(key_bits = 384) ~seed () =
         { r with id = Interner.intern interner (C.equivalence_key r.authority.Authority.certificate) })
       roots
   in
-  (* --- traffic-only private CAs -------------------------------------- *)
   let assigned = Array.fold_left (fun acc r -> acc +. r.traffic_weight) 0.0 roots in
   let private_mass = Stdlib.max 0.0 (1.0 -. assigned) in
   let private_shares = zipf_shares n_private_cas 1.0 private_mass in
-  let rng_priv = Prng.split master "blueprint-private" in
   let private_cas =
-    Array.init n_private_cas (fun i ->
-        let cn = Ca_names.private_ca rng_priv i in
-        (mk_authority (Dn.make cn), private_shares.(i)))
+    Array.mapi (fun i slot -> (authorities.(slot), private_shares.(i))) private_slots
   in
-  (* --- rooted-device CAs and the interception root -------------------- *)
   let rooted_authorities =
-    PD.rooted_cas
-    |> List.map (fun (name, _) -> (name, mk_authority ~version:1 (Dn.make name)))
-    |> Array.of_list
+    Array.of_list (List.map (fun (name, slot) -> (name, authorities.(slot))) rooted_slots)
   in
-  let interceptor =
-    mk_authority (Dn.make ~o:PD.interceptor_name (PD.interceptor_name ^ " Root CA"))
-  in
+  let interceptor = authorities.(interceptor_slot) in
   (* every identity that can anchor a chain or appear in a device store
      gets an id: private CAs, rooted-device CAs, the interceptor *)
   let intern_authority (a : Authority.t) =

@@ -55,8 +55,14 @@ type t = {
           replacement for the Notary's string-keyed root table *)
 }
 
-val build : ?key_bits:int -> seed:int -> unit -> t
-(** Deterministic in [seed].  [key_bits] defaults to 384. *)
+val build : ?key_bits:int -> ?jobs:int -> seed:int -> unit -> t
+(** Deterministic in [seed] and independent of [jobs].  [key_bits]
+    defaults to 384.  Every authority is self-signed under a key drawn
+    from its own PRNG stream, split off the seed's ["blueprint-keys"]
+    stream by the authority's serial, so the whole set is made in one
+    {!Tangled_engine.Parallel.tabulate} over up to [jobs] domains
+    (default {!Tangled_engine.Parallel.default_jobs}).  The pool is
+    released before [build] returns. *)
 
 val default : t Lazy.t
 (** A process-wide universe with seed 1, shared by tests and examples

@@ -216,3 +216,17 @@ let journal t = List.rev t.events
 
 let to_pem t =
   certs t |> List.map Tangled_x509.Pem.encode_certificate |> String.concat ""
+
+let of_pem name provenance pem =
+  match Tangled_x509.Pem.decode_all pem with
+  | Error _ as e -> e
+  | Ok blocks ->
+      let rec load acc n = function
+        | [] -> Ok (of_certs name provenance (List.rev acc))
+        | ("CERTIFICATE", der) :: rest -> (
+            match C.decode der with
+            | Ok cert -> load (cert :: acc) (n + 1) rest
+            | Error e -> Error (Printf.sprintf "block %d: %s" n e))
+        | _ :: rest -> load acc (n + 1) rest
+      in
+      load [] 1 blocks

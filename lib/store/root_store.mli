@@ -108,3 +108,11 @@ val journal : t -> journal_event list
 val to_pem : t -> string
 (** All enabled certificates as concatenated PEM blocks, mirroring
     /system/etc/security/cacerts. *)
+
+val of_pem : string -> provenance -> string -> (t, string) result
+(** [of_pem name provenance pem] loads a store from concatenated PEM
+    blocks, as {!of_certs} does from a list.  Blocks labelled other than
+    CERTIFICATE are skipped.  A CERTIFICATE block whose DER does not
+    decode fails the load with ["block N: <reason>"] (N counts every
+    block from 1), as does any block {!Tangled_x509.Pem.decode_all}
+    rejects: a damaged certificate is never silently left out. *)

@@ -123,41 +123,45 @@ let find_sub hay ~start needle =
   in
   go start
 
+(* the first block at or after [start]; [None] when none begins there *)
 let decode_one pem start =
   match find_sub pem ~start "-----BEGIN " with
-  | None -> Error "no PEM block found"
-  | Some b -> (
-      match find_sub pem ~start:b "-----" with
-      | None -> Error "malformed PEM header"
-      | Some _ -> (
-          let label_start = b + String.length "-----BEGIN " in
-          match find_sub pem ~start:label_start "-----" with
-          | None -> Error "malformed PEM header"
-          | Some label_end -> (
-              let label = String.sub pem label_start (label_end - label_start) in
-              let body_start = label_end + 5 in
-              let footer = "-----END " ^ label ^ "-----" in
-              match find_sub pem ~start:body_start footer with
-              | None -> Error "missing PEM footer"
-              | Some f -> (
-                  let body = String.sub pem body_start (f - body_start) in
-                  match base64_decode body with
-                  | Ok der -> Ok (label, der, f + String.length footer)
-                  | Error e -> Error e))))
+  | None -> None
+  | Some b ->
+      let label_start = b + String.length "-----BEGIN " in
+      Some
+        (match find_sub pem ~start:label_start "-----" with
+        | None -> Error "malformed PEM header"
+        | Some label_end -> (
+            let label = String.sub pem label_start (label_end - label_start) in
+            let body_start = label_end + 5 in
+            let footer = "-----END " ^ label ^ "-----" in
+            match find_sub pem ~start:body_start footer with
+            | None -> Error "missing PEM footer"
+            | Some f -> (
+                let body = String.sub pem body_start (f - body_start) in
+                match base64_decode body with
+                | Ok der -> Ok (label, der, f + String.length footer)
+                | Error e -> Error e)))
+
+let no_block = "no PEM block found"
 
 let decode pem =
   match decode_one pem 0 with
-  | Ok (label, der, _) -> Ok (label, der)
-  | Error e -> Error e
+  | None -> Error no_block
+  | Some (Ok (label, der, _)) -> Ok (label, der)
+  | Some (Error e) -> Error e
 
+(* the input ends where no further block begins: a block that begins
+   but does not decode is an error, never a silent end *)
 let decode_all pem =
-  let rec go start acc =
+  let rec go start n acc =
     match decode_one pem start with
-    | Ok (label, der, next) -> go next ((label, der) :: acc)
-    | Error _ when acc <> [] -> Ok (List.rev acc)
-    | Error e -> Error e
+    | None -> if acc = [] then Error no_block else Ok (List.rev acc)
+    | Some (Ok (label, der, next)) -> go next (n + 1) ((label, der) :: acc)
+    | Some (Error e) -> Error (Printf.sprintf "block %d: %s" n e)
   in
-  go 0 []
+  go 0 1 []
 
 let encode_certificate cert = encode ~label:"CERTIFICATE" (Certificate.encode cert)
 

@@ -14,7 +14,11 @@ val decode : string -> (string * string, string) result
 (** [decode pem] is [(label, der)] for the first PEM block found. *)
 
 val decode_all : string -> ((string * string) list, string) result
-(** Every PEM block in the input, in order. *)
+(** Every PEM block in the input, in order.  A block that begins but
+    does not decode (bad header, missing footer, bad base64) fails the
+    whole input with ["block N: <reason>"], N counting from 1, rather
+    than ending it early; an input with no block at all is an error
+    too. *)
 
 val encode_certificate : Certificate.t -> string
 val decode_certificate : string -> (Certificate.t, string) result

@@ -13,16 +13,14 @@ type counts = {
   mutable candidates : int;
   mutable sieved_out : int;
   mutable mr_modpows : int;
-  mutable short_moduli : int;
 }
 
-let counts = { candidates = 0; sieved_out = 0; mr_modpows = 0; short_moduli = 0 }
+let counts = { candidates = 0; sieved_out = 0; mr_modpows = 0 }
 
 let reset_counts () =
   counts.candidates <- 0;
   counts.sieved_out <- 0;
-  counts.mr_modpows <- 0;
-  counts.short_moduli <- 0
+  counts.mr_modpows <- 0
 
 let small_primes = Prime.small_primes
 
@@ -83,10 +81,11 @@ let is_probably_prime ?(rounds = 20) rng n =
 
 let generate ?(rounds = 20) rng ~bits =
   if bits < 2 then invalid_arg "Prime.generate: need at least 2 bits";
-  let top = B.shift_left B.one (bits - 1) in
+  (* every starting point is 0b11 followed by bits - 2 random bits *)
+  let top = B.shift_left (B.of_int 3) (bits - 2) in
   let on_sieved () = counts.sieved_out <- counts.sieved_out + 1 in
   let rec attempt () =
-    let r = B.random_bits rng (bits - 1) in
+    let r = B.random_bits rng (bits - 2) in
     let candidate = B.add top r in
     let candidate = if B.is_odd candidate then candidate else B.add candidate B.one in
     let rec search c tries =
@@ -110,16 +109,9 @@ let rsa_generate ?(mr_rounds = 20) rng ~bits =
     let p = generate ~rounds:mr_rounds rng ~bits:pbits in
     let q = generate ~rounds:mr_rounds rng ~bits:qbits in
     if B.equal p q then attempt ()
-    else begin
-      let n = B.mul p q in
-      if B.bit_length n <> bits then begin
-        counts.short_moduli <- counts.short_moduli + 1;
-        attempt ()
-      end
-      else
-        match B.mod_inverse e (B.mul (B.sub p B.one) (B.sub q B.one)) with
-        | Some d -> (n, d, p, q)
-        | None -> attempt ()
-    end
+    else
+      match B.mod_inverse e (B.mul (B.sub p B.one) (B.sub q B.one)) with
+      | Some d -> (B.mul p q, d, p, q)
+      | None -> attempt ()
   in
   attempt ()

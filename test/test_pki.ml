@@ -243,6 +243,25 @@ let test_find_root_by_name () =
   | None -> Alcotest.fail "FOTA root missing");
   check Alcotest.bool "missing name" true (BP.find_root_by_name u "Nonexistent CA" = None)
 
+(* Every key draws from its own stream, so the worker count cannot
+   move a byte of any authority. *)
+let test_same_at_any_jobs () =
+  let ders (u : BP.t) =
+    let der (a : Authority.t) = a.Authority.certificate.C.raw in
+    let roots = Array.to_list u.BP.roots in
+    List.map (fun r -> der r.BP.authority) roots
+    @ List.filter_map (fun r -> Option.map (fun c -> c.C.raw) r.BP.mozilla_variant) roots
+    @ List.map (fun (a, _) -> der a) (Array.to_list u.BP.private_cas)
+    @ List.map (fun (_, a) -> der a) (Array.to_list u.BP.rooted_authorities)
+    @ [ der u.BP.interceptor ]
+  in
+  let one = ders (BP.build ~jobs:1 ~seed:1 ()) in
+  let four = ders (BP.build ~jobs:4 ~seed:1 ()) in
+  check Alcotest.int "same number of certificates" (List.length one) (List.length four);
+  List.iteri
+    (fun i (a, b) -> if a <> b then Alcotest.failf "certificate %d differs at jobs 4" i)
+    (List.combine one four)
+
 let suite =
   [
     ("store size constants", `Quick, test_store_size_constants);
@@ -264,4 +283,5 @@ let suite =
     ("determinism", `Slow, test_determinism);
     ("find root by name", `Quick, test_find_root_by_name);
     ("official stores by short name", `Quick, test_store_of_name);
+    ("same universe at jobs 1 and 4", `Slow, test_same_at_any_jobs);
   ]

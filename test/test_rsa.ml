@@ -225,6 +225,29 @@ let prop_signature_unique_per_message =
       let key = Lazy.force key512 in
       Rsa.sign key ~digest:Dk.SHA256 m1 <> Rsa.sign key ~digest:Dk.SHA256 m2)
 
+(* Both primes carry their top two bits, which is what makes the
+   modulus exactly [bits] wide with no pair drawn again: each prime of
+   b bits is at least 1.5 * 2^(b-1), and p, q have ceil(bits/2) and
+   floor(bits/2) bits. *)
+let test_keygen_exact_width () =
+  List.iter
+    (fun bits ->
+      let pbits = (bits + 1) / 2 in
+      let qbits = bits - pbits in
+      let floor b = B.shift_left (B.of_int 3) (b - 2) in
+      for seed = 1 to 8 do
+        let key = Rsa.generate ~mr_rounds:6 (Prng.create (7000 + seed)) ~bits in
+        let name what = Printf.sprintf "%d-bit key, seed %d: %s" bits seed what in
+        check Alcotest.int (name "modulus bits") bits (B.bit_length key.Rsa.pub.Rsa.n);
+        check Alcotest.int (name "p bits") pbits (B.bit_length key.Rsa.p);
+        check Alcotest.int (name "q bits") qbits (B.bit_length key.Rsa.q);
+        Alcotest.(check bool) (name "p >= 1.5 * 2^(pbits-1)") true
+          (B.compare key.Rsa.p (floor pbits) >= 0);
+        Alcotest.(check bool) (name "q >= 1.5 * 2^(qbits-1)") true
+          (B.compare key.Rsa.q (floor qbits) >= 0)
+      done)
+    [ 64; 65; 384; 385; 512 ]
+
 let suite =
   [
     ("keygen structure", `Quick, test_keygen_structure);
@@ -243,4 +266,5 @@ let suite =
     ("steady-state allocation (384-bit)", `Quick, test_steady_state_allocation);
     qtest prop_sign_verify;
     qtest prop_signature_unique_per_message;
+    ("keygen exact width, top two prime bits", `Quick, test_keygen_exact_width);
   ]

@@ -156,6 +156,32 @@ let test_to_pem () =
   | Ok blocks -> check Alcotest.int "parseable" 2 (List.length blocks)
   | Error m -> Alcotest.fail m
 
+(* A dump with a damaged certificate fails to load, naming the block,
+   rather than loading one certificate short. *)
+let test_of_pem_damaged_block () =
+  let pem = Tangled_x509.Pem.encode_certificate in
+  let a = Lazy.force ca1 and b = Lazy.force ca2 and c = Lazy.force ca3 in
+  (match Rs.of_pem "dump" Rs.User (pem a ^ pem b ^ pem c) with
+  | Ok s -> check Alcotest.int "intact dump loads whole" 3 (Rs.cardinal s)
+  | Error e -> Alcotest.fail e);
+  (* block 2's base64 cut short: at a multiple of 4 characters it still
+     decodes, to truncated DER; elsewhere the base64 itself is bad *)
+  let truncated keep =
+    let b64 = Tangled_x509.Pem.base64_encode (C.encode b) in
+    "-----BEGIN CERTIFICATE-----\n" ^ String.sub b64 0 keep
+    ^ "\n-----END CERTIFICATE-----\n"
+  in
+  List.iter
+    (fun keep ->
+      match Rs.of_pem "dump" Rs.User (pem a ^ truncated keep ^ pem c) with
+      | Ok s ->
+          Alcotest.failf "base64 cut to %d characters: loaded %d certificates" keep
+            (Rs.cardinal s)
+      | Error e ->
+          if not (String.starts_with ~prefix:"block 2: " e) then
+            Alcotest.failf "base64 cut to %d characters: error %S names no block 2" keep e)
+    [ 200; 201 ]
+
 let suite =
   [
     ("bulk load", `Quick, test_of_certs);
@@ -169,4 +195,5 @@ let suite =
     ("find by subject", `Quick, test_find_by_subject);
     ("insertion order", `Quick, test_insertion_order);
     ("pem dump", `Quick, test_to_pem);
+    ("pem load rejects a damaged block", `Quick, test_of_pem_damaged_block);
   ]
