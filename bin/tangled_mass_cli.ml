@@ -41,9 +41,9 @@ let key_bits_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the Notary build phase; 0 (the default) picks \
-     automatically from the machine's core count.  Output is byte-identical \
-     at any value."
+    "Worker domains for the universe's key generation and the Notary build; \
+     0 (the default) picks automatically from the machine's core count.  \
+     Output is byte-identical at any value."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

@@ -80,6 +80,7 @@ let vendor_extras (universe : BP.t) generic profile =
   |> List.sort (fun ((a : BP.root), _) (b, _) ->
          Stdlib.compare a.BP.display_name b.BP.display_name)
 
+(* share of heavy-extender builds carrying every eligible extra *)
 let fully_loaded_fraction = 0.25
 
 let assemble rng (universe : BP.t) generic profile =

@@ -33,9 +33,6 @@ val assemble :
     loaded" with every eligible extra — the >40-certificate tail of
     Figure 1. *)
 
-val fully_loaded_fraction : float
-(** Share of heavy-extender builds carrying every eligible extra. *)
-
 val vendor_extras :
   Tangled_pki.Blueprint.t ->
   (string, (string * Tangled_pki.Paper_data.android_version) list) Hashtbl.t ->

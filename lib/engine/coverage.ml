@@ -31,26 +31,6 @@ let append t ~anchor ~expired =
     end
   end
 
-(* Deliberately not a fold of [append]: the QCheck suite uses this
-   one-shot pass as the independent rebuild-from-scratch oracle. *)
-let build ~n_ids ~total ~anchor ~expired =
-  let max_id = ref (n_ids - 1) in
-  for i = 0 to total - 1 do
-    let a = anchor i in
-    if a > !max_id then max_id := a
-  done;
-  let n_ids = !max_id + 1 in
-  let counts = Array.make (Stdlib.max 1 n_ids) 0 in
-  let unexpired = ref 0 in
-  for i = 0 to total - 1 do
-    if not (expired i) then begin
-      incr unexpired;
-      let a = anchor i in
-      if a >= 0 then counts.(a) <- counts.(a) + 1
-    end
-  done;
-  { counts; n_ids; total; unexpired = !unexpired }
-
 let count t id = if id >= 0 && id < t.n_ids then t.counts.(id) else 0
 
 let validated_by t set =
@@ -64,14 +44,3 @@ let n_ids t = t.n_ids
 let counts t = Array.sub t.counts 0 t.n_ids
 let total t = t.total
 let unexpired t = t.unexpired
-
-let equal a b =
-  a.total = b.total
-  && a.unexpired = b.unexpired
-  &&
-  let hi = Stdlib.max a.n_ids b.n_ids in
-  let ok = ref true in
-  for id = 0 to hi - 1 do
-    if count a id <> count b id then ok := false
-  done;
-  !ok

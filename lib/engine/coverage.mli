@@ -28,12 +28,6 @@ val append : t -> anchor:int -> expired:bool -> unit
     toward {!total} only — the paper's store fractions are over
     unexpired chains. *)
 
-val build :
-  n_ids:int -> total:int -> anchor:(int -> int) -> expired:(int -> bool) -> t
-(** One-shot construction over chains [0 .. total - 1] — a separate
-    single-pass implementation kept as the rebuild-from-scratch oracle
-    the QCheck suite holds {!append} to. *)
-
 val count : t -> int -> int
 (** Unexpired validated chains anchored at this root id (0 for ids
     never seen anchoring, or out of range). *)
@@ -51,8 +45,3 @@ val counts : t -> int array
 
 val total : t -> int
 val unexpired : t -> int
-
-val equal : t -> t -> bool
-(** Same totals and same per-id counters (trailing zero counters are
-    insignificant: an index that saw ids 0..9 equals one pre-sized for
-    100 ids with zeros beyond). *)

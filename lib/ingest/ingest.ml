@@ -281,6 +281,8 @@ let cert_of_json json =
 type 'a schema = {
   list_field : string;  (** record list in the single-document form *)
   declared_field : string;  (** manifest control total *)
+  flatten : (string * J.t) list -> (string * J.t) list;
+      (** the single-document form's fields as the engine reads them *)
   of_json : J.t -> ('a, reason) result;
   identity : 'a -> string;
   same : 'a -> 'a -> bool;
@@ -311,14 +313,16 @@ let looks_like_header schema fields =
   List.mem_assoc "kind" fields || List.mem_assoc schema.declared_field fields
 
 (* Normalise both accepted input forms to (manifest, numbered records,
-   input digest).  Line numbers are 1-based with the manifest at line
-   1, so quarantine entries point at real lines of a JSONL file.  The
-   digest is SHA-256 over the raw input, a control total for the bytes
-   that were actually ingested; in the JSONL branch it is absorbed
-   chunk by chunk as the line scanner walks the buffer. *)
+   input digest), parsing and hashing the input once.  Line numbers are
+   1-based with the manifest at line 1, so quarantine entries point at
+   real lines of a JSONL file.  The digest is SHA-256 over the raw
+   input, a control total for the bytes that were actually ingested;
+   in the JSONL branch it is absorbed chunk by chunk as the line
+   scanner walks the buffer. *)
 let split_input schema input =
   match J.parse input with
   | Ok (J.Obj fields) -> (
+      let fields = schema.flatten fields in
       let digest = H.hex input in
       match List.assoc_opt schema.list_field fields with
       | Some (J.List records) ->
@@ -453,6 +457,7 @@ let session_schema =
   {
     list_field = "sessions";
     declared_field = "exported_sessions";
+    flatten = Fun.id;
     of_json = session_of_json;
     identity = (fun s -> string_of_int s.session_id);
     same = (fun a b -> a = b);
@@ -462,15 +467,38 @@ let chain_schema =
   {
     list_field = "chains";
     declared_field = "exported_chains";
+    flatten = Fun.id;
     of_json = chain_of_json;
     identity = (fun c -> c.subject);
     same = (fun a b -> a = b);
   }
 
+(* The single-document store export nests certificates per store;
+   flatten it to the per-certificate records the engine expects. *)
+let flatten_stores fields =
+  match List.assoc_opt "stores" fields with
+  | Some (J.List stores) ->
+      let flat =
+        List.concat_map
+          (fun store ->
+            match (J.member "name" store, J.member "certificates" store) with
+            | Some (J.String name), Some (J.List certs) ->
+                List.map
+                  (function
+                    | J.Obj cf -> J.Obj (("store", J.String name) :: cf)
+                    | other -> other)
+                  certs
+            | _ -> [ store ])
+          stores
+      in
+      ("certificates", J.List flat) :: List.remove_assoc "stores" fields
+  | _ -> fields
+
 let cert_schema =
   {
     list_field = "certificates";
     declared_field = "total_certificates";
+    flatten = flatten_stores;
     of_json = cert_of_json;
     identity = (fun c -> c.store ^ "/" ^ c.fingerprint);
     same = (fun a b -> a = b);
@@ -478,41 +506,7 @@ let cert_schema =
 
 let sessions_of_string input = run session_schema input
 let notary_of_string input = run chain_schema input
-
-(* The single-document store export nests certificates per store;
-   flatten it to the per-certificate records the engine expects. *)
-let flatten_stores_doc input =
-  match J.parse input with
-  | Ok (J.Obj fields) -> (
-      match List.assoc_opt "stores" fields with
-      | Some (J.List stores) ->
-          let flat =
-            List.concat_map
-              (fun store ->
-                match (J.member "name" store, J.member "certificates" store) with
-                | Some (J.String name), Some (J.List certs) ->
-                    List.map
-                      (function
-                        | J.Obj cf -> J.Obj (("store", J.String name) :: cf)
-                        | other -> other)
-                      certs
-                | _ -> [ store ])
-              stores
-          in
-          let header = List.remove_assoc "stores" fields in
-          Some
-            (J.to_string (J.Obj (("certificates", J.List flat) :: header)))
-      | _ -> None)
-  | _ -> None
-
-let stores_of_string input =
-  match flatten_stores_doc input with
-  | Some flat ->
-      (* the control-total digest covers the caller's bytes, not the
-         flattened intermediate form *)
-      let r = run cert_schema flat in
-      { r with stats = { r.stats with input_sha256 = H.hex input } }
-  | None -> run cert_schema input
+let stores_of_string input = run cert_schema input
 
 (* --- aggregates -------------------------------------------------------- *)
 

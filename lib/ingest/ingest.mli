@@ -46,6 +46,27 @@ val has_control_bytes : string -> bool
     predicate, exposed so other framing layers (the serve loop's frame
     decoder) classify identically. *)
 
+(** {2 Field readers}
+
+    The schema checks of every record decoder, exposed so other
+    decoders (the serve loop's frame decoder) map an absent or
+    mistyped field to the same reason. *)
+
+val str : string -> Tangled_util.Json.t -> (string, reason) result
+(** The named field of an object as a string: {!Missing_field} when
+    absent, {!Type_mismatch} when present with another type. *)
+
+val str_list : string -> Tangled_util.Json.t -> (string list, reason) result
+(** The named field as a list of strings; any non-string item is a
+    {!Type_mismatch}. *)
+
+val int : string -> Tangled_util.Json.t -> (int, reason) result
+(** The named field as an integer. *)
+
+val snippet_of : string -> string
+(** What a quarantine entry keeps of an offending line: its first 60
+    bytes, with ["..."] appended when cut. *)
+
 val reason_detail : reason -> string
 
 val reason_of_der_error : Tangled_asn1.Der.error -> reason

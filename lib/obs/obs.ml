@@ -93,12 +93,12 @@ let spans () =
 
 let status_label = function Done -> "done" | Failed m -> "failed: " ^ m
 
-let render_spans ?(title = "Spans") () =
+let render_spans () =
   match spans () with
   | [] -> ""
   | roots ->
       let b = Buffer.create 512 in
-      Buffer.add_string b (title ^ "\n");
+      Buffer.add_string b "Span tree\n";
       List.iter
         (fun s ->
           Buffer.add_string b
@@ -108,22 +108,6 @@ let render_spans ?(title = "Spans") () =
                s.name s.dur_s (status_label s.status)))
         roots;
       Buffer.contents b
-
-(* the flat (name, seconds, share) table the legacy Timing.render
-   printed; the deprecated shim and the pipeline both call this so
-   their bytes agree by construction *)
-let render_span_table ?(title = "Stage timings") rows =
-  let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 rows in
-  let b = Buffer.create 256 in
-  Buffer.add_string b (title ^ "\n");
-  List.iter
-    (fun (stage, seconds) ->
-      Buffer.add_string b
-        (Printf.sprintf "  %-12s %9.3fs  %5.1f%%\n" stage seconds
-           (if sum > 0.0 then 100.0 *. seconds /. sum else 0.0)))
-    rows;
-  Buffer.add_string b (Printf.sprintf "  %-12s %9.3fs\n" "total" sum);
-  Buffer.contents b
 
 (* --- counters and gauges ------------------------------------------------ *)
 
@@ -168,8 +152,6 @@ let render_named_ints title rows =
         (fun (name, v) -> Buffer.add_string b (Printf.sprintf "  %-32s %12d\n" name v))
         rows;
       Buffer.contents b
-
-let render_counters ?(title = "Counters") () = render_named_ints title (counters ())
 
 type gauge = { g_name : string; g_value : int Atomic.t }
 
@@ -324,13 +306,13 @@ let quantile s q =
     go 0 0.0
   end
 
-let render_histograms ?(title = "Histograms (p50/p90/p99)") () =
+let render_histograms () =
   let rows = List.filter (fun s -> s.total > 0) (histograms ()) in
   match rows with
   | [] -> ""
   | rows ->
       let b = Buffer.create 256 in
-      Buffer.add_string b (title ^ "\n");
+      Buffer.add_string b "Histograms (p50/p90/p99)\n";
       List.iter
         (fun s ->
           Buffer.add_string b
@@ -365,14 +347,16 @@ let events () =
   Mutex.unlock event_lock;
   l
 
-let render_events ?(title = "Events (newest)") ?(limit = 12) () =
+(* the newest twelve events, oldest first *)
+let render_events () =
   match events () with
   | [] -> ""
   | all ->
-      let keep = Stdlib.max 0 (List.length all - limit) in
+      let keep = Stdlib.max 0 (List.length all - 12) in
       let shown = List.filteri (fun i _ -> i >= keep) all in
       let b = Buffer.create 256 in
-      Buffer.add_string b (Printf.sprintf "%s — %d retained\n" title (List.length all));
+      Buffer.add_string b
+        (Printf.sprintf "Events (newest) — %d retained\n" (List.length all));
       List.iter
         (fun e ->
           Buffer.add_string b (Printf.sprintf "  %-28s" e.e_name);
@@ -588,9 +572,9 @@ let render ?(title = "Observability (process-wide, volatile)") () =
     List.filter
       (fun s -> s <> "")
       [
-        render_spans ~title:"Span tree" ();
+        render_spans ();
         render_histograms ();
-        render_counters ();
+        render_named_ints "Counters" (counters ());
         render_named_ints "Gauges" (gauges ());
         render_events ();
       ]

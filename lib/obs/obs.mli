@@ -63,15 +63,6 @@ val spanned : string -> (unit -> 'a) -> 'a * span
 val spans : unit -> span list
 (** Completed spans in creation (id) order. *)
 
-val render_spans : ?title:string -> unit -> string
-(** The span tree: one line per span, indented by depth, with duration
-    and status; [""] when no spans were recorded. *)
-
-val render_span_table : ?title:string -> (string * float) list -> string
-(** The flat stage-timing table (name, seconds, share-of-total) the
-    old [Timing.render] printed; kept as a shared renderer so the
-    deprecated shim and the pipeline produce identical bytes. *)
-
 (** {1 Counters and gauges} *)
 
 type counter
@@ -87,28 +78,20 @@ val value : counter -> int
 val counters : unit -> (string * int) list
 (** All counters, sorted by name. *)
 
-val render_counters : ?title:string -> unit -> string
-
 type gauge
 
 val gauge : string -> gauge
 val set_gauge : gauge -> int -> unit
 val gauge_value : gauge -> int
 
-val gauges : unit -> (string * int) list
-(** All gauges, sorted by name. *)
-
 (** {1 Histograms} *)
 
 type histogram
 
-val latency_buckets : float array
-(** Default upper bounds for latency-in-seconds histograms: 1µs to
-    10s, roughly ×3 per bucket. *)
-
 val histogram : ?buckets:float array -> string -> histogram
 (** The process-wide histogram registered under this name.  [buckets]
-    (default {!latency_buckets}) are strictly increasing upper bounds;
+    (default: latency-in-seconds bounds from 1µs to 10s, roughly ×3
+    per bucket) are strictly increasing upper bounds;
     an implicit overflow bucket catches everything above the last
     edge.  [buckets] is only consulted on first registration. *)
 
@@ -138,9 +121,6 @@ val quantile : histogram_snapshot -> float -> float
     linear interpolation inside the bucket holding that rank; the
     overflow bucket reports its lower edge.  [nan] when empty. *)
 
-val render_histograms : ?title:string -> unit -> string
-(** One line per non-empty histogram: count, mean, p50/p90/p99. *)
-
 (** {1 Events} *)
 
 type event_record = {
@@ -157,16 +137,14 @@ val event : ?fields:(string * string) list -> string -> unit
 val events : unit -> event_record list
 (** Retained events, oldest first. *)
 
-val render_events : ?title:string -> ?limit:int -> unit -> string
-(** The newest [limit] (default 12) events, oldest first. *)
-
 (** {1 Lifecycle} *)
 
 val reset_all : unit -> unit
 (** Zero every counter and gauge, clear every histogram's buckets and
     sum, and drop all recorded spans and events.  Instruments stay
-    registered under their names.  Bench cold/warm sections call this
-    between phases so no state leaks across a measurement boundary. *)
+    registered under their names.  The serve drill and the tests call
+    this between phases so no state leaks across a measurement
+    boundary. *)
 
 (** {1 Trace export} *)
 
@@ -196,6 +174,8 @@ val validate_trace : string -> (unit, string) result
     violation. *)
 
 val render : ?title:string -> unit -> string
-(** The CLI's "obs" section: span tree, histogram quantiles, counter
-    table and the newest events, in that order; sections with nothing
-    recorded are omitted. *)
+(** The CLI's "obs" section: the span tree (one line per span, indented
+    by depth, with duration and status), histogram counts, means and
+    p50/p90/p99, the counter and gauge tables and the newest twelve
+    events, in that order; sections with nothing recorded are
+    omitted. *)

@@ -287,30 +287,6 @@ type frame = { id : J.t; op : op; deadline_s : float option }
 
 let ( let* ) = Result.bind
 
-let str_field name json =
-  match J.member name json with
-  | Some (J.String s) -> Ok s
-  | Some _ -> Error (Ingest.Type_mismatch name)
-  | None -> Error (Ingest.Missing_field name)
-
-let str_list_field name json =
-  match J.member name json with
-  | Some (J.List items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | J.String s :: rest -> go (s :: acc) rest
-        | _ -> Error (Ingest.Type_mismatch name)
-      in
-      go [] items
-  | Some _ -> Error (Ingest.Type_mismatch name)
-  | None -> Error (Ingest.Missing_field name)
-
-let int_field name json =
-  match J.member name json with
-  | Some (J.Int n) -> Ok n
-  | Some _ -> Error (Ingest.Type_mismatch name)
-  | None -> Error (Ingest.Missing_field name)
-
 let opt_int_field name json =
   match J.member name json with
   | None -> Ok None
@@ -349,15 +325,15 @@ let decode_frame ~max_frame_bytes line : (frame, Ingest.reason) result =
           | Some (J.Int _) -> Error (Ingest.Bad_value "deadline_ms is negative")
           | Some _ -> Error (Ingest.Type_mismatch "deadline_ms")
         in
-        let* op_name = str_field "op" json in
+        let* op_name = Ingest.str "op" json in
         let* op =
           match op_name with
           | "validate" ->
-              let* store = str_field "store" json in
-              let* chain_hex = str_list_field "chain" json in
+              let* store = Ingest.str "store" json in
+              let* chain_hex = Ingest.str_list "chain" json in
               Ok (Validate { store; chain_hex })
           | "diff" ->
-              let* store = str_field "store" json in
+              let* store = Ingest.str "store" json in
               let* baseline =
                 match J.member "baseline" json with
                 | None -> Ok "aosp44"
@@ -366,26 +342,26 @@ let decode_frame ~max_frame_bytes line : (frame, Ingest.reason) result =
               in
               Ok (Diff { store; baseline })
           | "coverage" ->
-              let* root = str_field "root" json in
+              let* root = Ingest.str "root" json in
               Ok (Coverage { root })
           | "stores" -> Ok Stores
           | "health" -> Ok Health
           | "reload" ->
-              let* payload = str_field "payload" json in
+              let* payload = Ingest.str "payload" json in
               Ok (Reload { payload })
           | "drain" -> Ok Drain
           | "ct-inclusion" ->
-              let* log = str_field "log" json in
-              let* index = int_field "index" json in
+              let* log = Ingest.str "log" json in
+              let* index = Ingest.int "index" json in
               let* tree_size = opt_int_field "tree_size" json in
               Ok (Ct_inclusion { log; index; tree_size })
           | "ct-consistency" ->
-              let* log = str_field "log" json in
-              let* first = int_field "first" json in
-              let* second = int_field "second" json in
+              let* log = Ingest.str "log" json in
+              let* first = Ingest.int "first" json in
+              let* second = Ingest.int "second" json in
               Ok (Ct_consistency { log; first; second })
           | "ct-visibility" ->
-              let* store = str_field "store" json in
+              let* store = Ingest.str "store" json in
               Ok (Ct_visibility { store })
           | other -> Error (Ingest.Bad_value ("unknown op " ^ other))
         in
@@ -850,9 +826,6 @@ let put_quarantine t ~frame_no reason snippet =
   t.quarantine_rev <-
     { Ingest.line = frame_no; reason; snippet } :: t.quarantine_rev
 
-let snippet_of line =
-  if String.length line <= 60 then line else String.sub line 0 60 ^ "..."
-
 (* Decode and answer one admitted frame.  Total: every path ends in
    exactly one response and exactly one terminal-class counter. *)
 let handle_admitted t ~frame_no line =
@@ -863,7 +836,7 @@ let handle_admitted t ~frame_no line =
   in
   match decode_frame ~max_frame_bytes:t.config.max_frame_bytes line with
   | Error reason ->
-      put_quarantine t ~frame_no reason (snippet_of line);
+      put_quarantine t ~frame_no reason (Ingest.snippet_of line);
       finish "malformed"
         (error_response t ~id:J.Null ~label:(Ingest.reason_label reason)
            ~detail:(Ingest.reason_detail reason))
@@ -907,7 +880,7 @@ let handle_admitted t ~frame_no line =
             (Ingest.Bad_value
                ("poisoned request: permanent " ^ Fault.kind_to_string kind
               ^ " fault"))
-            (snippet_of line);
+            (Ingest.snippet_of line);
           finish cls
             (error_response t ~id:frame.id ~label:"poisoned-request"
                ~detail:

@@ -13,11 +13,9 @@ type pinset = {
                                     issuer public-key modulus chain) *)
 }
 
-val spki_pin : Tangled_x509.Certificate.t -> string
-(** The pin of one certificate: SHA-256 over its subject public key. *)
-
 val pin_chain : Tangled_x509.Certificate.t list -> string list
-(** Pins of every certificate in a presented chain. *)
+(** Pins of every certificate in a presented chain; a certificate's
+    pin is SHA-256 over its subject public key. *)
 
 val of_world : Endpoint.world -> pinset list
 (** Build the era's pinning apps from the world: one pin-set per

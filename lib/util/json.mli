@@ -13,9 +13,6 @@ type t =
 val to_string : ?pretty:bool -> t -> string
 (** Serialise; [pretty] (default false) adds two-space indentation. *)
 
-val escape_string : string -> string
-(** The quoted, escaped form of a string literal. *)
-
 val parse : string -> (t, string) result
 (** Total recursive-descent parser: never raises, whatever the input.
     Integral numbers in native range become [Int]; everything else

@@ -33,17 +33,12 @@ type rejection =
 
 val rejection_to_string : rejection -> string
 
-val screen :
-  t ->
-  chain:Tangled_x509.Certificate.t list ->
-  anchor:Tangled_x509.Certificate.t ->
-  (unit, rejection) result
-(** Gate a successfully-validated chain (leaf first) and its anchor. *)
-
 val validate :
   t ->
   now:Tangled_util.Timestamp.t ->
   store:Tangled_store.Root_store.t ->
   Tangled_x509.Certificate.t list ->
   (Tangled_x509.Certificate.t, [ `Chain of Chain.failure | `Screen of rejection ]) result
-(** {!Chain.validate} followed by {!screen}. *)
+(** {!Chain.validate}, then the screen of the validated chain (leaf
+    first) and its anchor: a blocklisted key anywhere in it, or a
+    pinned subject anchored outside its allowed set, rejects it. *)

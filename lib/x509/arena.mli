@@ -103,10 +103,6 @@ val decode : t -> int -> (Certificate.t, string) result
     result is a fresh value the caller should drop when done — the
     arena never caches it. *)
 
-val blit_to_bytes : t -> int -> Bytes.t -> int -> unit
-(** [blit_to_bytes t h buf off] copies handle [h]'s DER bytes into
-    [buf] at [off] (which must have room for [der_length t h]). *)
-
 (** {2 Epochs and accounting} *)
 
 val mark : t -> mark

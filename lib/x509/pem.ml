@@ -36,14 +36,15 @@ let base64_encode s =
   | _ -> ());
   Bytes.unsafe_to_string out
 
+(* the character's 6-bit value, or -1 outside the alphabet *)
 let decode_char c =
   match c with
-  | 'A' .. 'Z' -> Some (Char.code c - 65)
-  | 'a' .. 'z' -> Some (Char.code c - 97 + 26)
-  | '0' .. '9' -> Some (Char.code c - 48 + 52)
-  | '+' -> Some 62
-  | '/' -> Some 63
-  | _ -> None
+  | 'A' .. 'Z' -> Char.code c - 65
+  | 'a' .. 'z' -> Char.code c - 97 + 26
+  | '0' .. '9' -> Char.code c - 48 + 52
+  | '+' -> 62
+  | '/' -> 63
+  | _ -> -1
 
 let[@inline] is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
@@ -82,18 +83,18 @@ let base64_decode s =
          let c = String.unsafe_get s i in
          if not (is_ws c) then begin
            (if !seen < body_len then
-              match decode_char c with
-              | Some v ->
-                  acc := (!acc lsl 6) lor v;
-                  nbits := !nbits + 6;
-                  if !nbits >= 8 then begin
-                    nbits := !nbits - 8;
-                    Bytes.unsafe_set out !pos (Char.unsafe_chr ((!acc lsr !nbits) land 0xff));
-                    incr pos
-                  end
-              | None ->
-                  error := Some (Printf.sprintf "base64: invalid character %C" c);
-                  raise Exit);
+              let v = decode_char c in
+              if v < 0 then begin
+                error := Some (Printf.sprintf "base64: invalid character %C" c);
+                raise Exit
+              end;
+              acc := (!acc lsl 6) lor v;
+              nbits := !nbits + 6;
+              if !nbits >= 8 then begin
+                nbits := !nbits - 8;
+                Bytes.unsafe_set out !pos (Char.unsafe_chr ((!acc lsr !nbits) land 0xff));
+                incr pos
+              end);
            incr seen
          end
        done
@@ -114,13 +115,12 @@ let encode ~label der =
   Buffer.add_string buf ("-----END " ^ label ^ "-----\n");
   Buffer.contents buf
 
+(* the first position at or after [start] where [needle] occurs,
+   compared in place *)
 let find_sub hay ~start needle =
   let hn = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > hn then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
+  let rec matches i j = j = nn || (hay.[i + j] = needle.[j] && matches i (j + 1)) in
+  let rec go i = if i + nn > hn then None else if matches i 0 then Some i else go (i + 1) in
   go start
 
 (* the first block at or after [start]; [None] when none begins there *)

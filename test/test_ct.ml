@@ -2,7 +2,8 @@
    agree with a naive from-scratch RFC 6962 MTH oracle at every size,
    every generated proof must verify through the independent pure
    verifier, and any mutation of a proof, leaf, or index must be
-   rejected. *)
+   rejected.  Two cases pin the log's cost in minor words: per append,
+   and per inclusion verify. *)
 
 module Log = Tangled_ct.Log
 module Proof = Tangled_ct.Proof
@@ -333,6 +334,103 @@ let test_fleet_visibility () =
           r.Fleet.logged r.Fleet.accepted)
     rows
 
+(* --- cost gates: the log's work is a count, not a time ------------------- *)
+
+(* A DER-sized leaf: 600 bytes of 0xa5 with the index in the first 12. *)
+let der_leaf template i =
+  Bytes.blit_string (Printf.sprintf "%012d" i) 0 template 0 12;
+  Bytes.to_string template
+
+let der_log n =
+  let t = Log.create () in
+  let template = Bytes.make 600 '\xa5' in
+  for i = 0 to n - 1 do
+    ignore (Log.append t (der_leaf template i))
+  done;
+  t
+
+(* Minor words per append: a loop that makes and appends n leaves less
+   the same loop that only makes them.  n appends make n leaf hashes and
+   n - popcount(n) node hashes, so the figure is flat in n: about 88
+   words at 1 024 leaves and 86 at 65 536.  A log that recomputed its
+   head after every append reads 260 and 387 and fails both the
+   flatness and the bound. *)
+let test_append_cost_flat () =
+  let words_per_append n =
+    let loop f =
+      let template = Bytes.make 600 '\xa5' in
+      let before = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        f (der_leaf template i)
+      done;
+      Gc.minor_words () -. before
+    in
+    let t = Log.create () in
+    let with_log = loop (fun leaf -> ignore (Log.append t leaf)) in
+    (with_log -. loop ignore) /. float_of_int n
+  in
+  let small = words_per_append 1024 and large = words_per_append 65_536 in
+  if Float.abs (large -. small) > 0.05 *. small then
+    Alcotest.failf "append: %.2f words at 1 024 leaves, %.2f at 65 536 (must agree within 5%%)"
+      small large;
+  List.iter
+    (fun (n, w) ->
+      if w > 96.0 then
+        Alcotest.failf "append at %d leaves: %.2f minor words (bound 96)" n w)
+    [ (1024, small); (65_536, large) ]
+
+(* Minor words per inclusion verify at sampled indices of a 200 000-leaf
+   log, whose proofs run from 11 to 18 entries.  The pure verifier
+   hashes the leaf once and makes one node hash per proof entry, so the
+   words are a + b * len for one pair (a, b): 58 + 43 * len when
+   measured.  A verifier whose work grew faster than its proof fits no
+   such line. *)
+let test_verify_cost_linear () =
+  let n = 200_000 in
+  let t = der_log n in
+  let root = Log.head t in
+  let max_len = ref 0 in
+  while 1 lsl !max_len < n do
+    incr max_len
+  done;
+  let template = Bytes.make 600 '\xa5' in
+  (* a stride over the whole log plus one over its last 4 000 leaves,
+     where the short proofs are *)
+  let indices =
+    List.init 40 (fun k -> (k * 4999) + 7) @ List.init 24 (fun k -> n - 1 - (k * 167))
+  in
+  let samples =
+    List.map
+      (fun index ->
+        let proof =
+          match Log.inclusion_proof t ~index ~tree_size:n with
+          | Ok p -> p
+          | Error e -> Alcotest.failf "proof of %d: %s" index e
+        in
+        let len = List.length proof in
+        if len > !max_len then
+          Alcotest.failf "proof of %d has %d entries (at most %d)" index len !max_len;
+        let leaf = der_leaf template index in
+        let before = Gc.minor_words () in
+        let ok = Proof.verify_inclusion ~leaf ~index ~tree_size:n ~proof ~root in
+        let words = Gc.minor_words () -. before in
+        if not ok then Alcotest.failf "inclusion of %d rejected" index;
+        (len, words))
+      indices
+  in
+  let shortest = List.fold_left (fun a s -> if fst s < fst a then s else a) (List.hd samples) samples
+  and longest = List.fold_left (fun a s -> if fst s > fst a then s else a) (List.hd samples) samples in
+  if fst shortest = fst longest then Alcotest.fail "every sampled proof has the same length";
+  let b = (snd longest -. snd shortest) /. float_of_int (fst longest - fst shortest) in
+  let a = snd shortest -. (b *. float_of_int (fst shortest)) in
+  List.iter2
+    (fun index (len, words) ->
+      if words <> a +. (b *. float_of_int len) then
+        Alcotest.failf "verify of %d (%d entries): %.0f words, off the line %.1f + %.1f * len"
+          index len words a b)
+    indices samples;
+  if b > 48.0 then Alcotest.failf "verify costs %.1f words per proof entry (bound 48)" b
+
 let suite =
   [
     Alcotest.test_case "empty head" `Quick test_empty_head;
@@ -357,3 +455,8 @@ let suite =
         prop_mutated_inclusion_rejected;
         prop_mutated_consistency_rejected;
       ]
+  @ [
+      Alcotest.test_case "append cost flat in log size" `Quick test_append_cost_flat;
+      Alcotest.test_case "verify cost linear in proof length" `Quick
+        test_verify_cost_linear;
+    ]
