@@ -51,10 +51,10 @@ let csv_dir_arg =
   let doc = "Also dump each artefact's data as CSV into this directory." in
   Arg.(value & opt (some dir) None & info [ "csv-dir" ] ~docv:"DIR" ~doc)
 
-(* Flags the measurement subcommands (report, chaos, ingest, serve, ct)
-   accept uniformly, so instrumentation is driven the same way
-   everywhere.  `ingest` takes --seed/--jobs for interface uniformity
-   even though replaying a recorded dataset uses neither. *)
+(* Flags the measurement subcommands that build a world (report, chaos,
+   serve, ct) accept uniformly, so instrumentation is driven the same
+   way everywhere.  `ingest` replays a recorded dataset and takes only
+   --trace-out. *)
 type common = { seed : int; jobs : int; trace_out : string option }
 
 let trace_out_arg =
@@ -70,11 +70,11 @@ let common_term =
   let make seed jobs trace_out = { seed; jobs; trace_out } in
   Term.(const make $ seed_arg $ jobs_arg $ trace_out_arg)
 
-let write_trace ~jobs common =
-  match common.trace_out with
+let write_trace ?jobs trace_out =
+  match trace_out with
   | None -> ()
   | Some path ->
-      let trace = Obs.trace_jsonl ~jobs () in
+      let trace = Obs.trace_jsonl ?jobs () in
       (match Obs.validate_trace trace with
       | Ok () -> ()
       | Error e -> Logs.err (fun m -> m "trace failed self-validation: %s" e));
@@ -121,7 +121,7 @@ let report_cmd =
       | [] -> Report.run_all ?csv_dir world
       | names -> Report.render ?csv_dir world names);
     prerr_string (Obs.render ());
-    write_trace ~jobs:world.Pipeline.jobs common
+    write_trace ~jobs:world.Pipeline.jobs common.trace_out
   in
   Cmd.v
     (Cmd.info "report"
@@ -189,51 +189,34 @@ let export_cmd =
     Arg.(value & opt string "sessions" & info [ "what" ] ~docv:"KIND" ~doc)
   in
   let out_arg =
-    let doc = "Output file (defaults to <kind>.json in the working directory)." in
+    let doc = "Output file (defaults to <kind>.jsonl in the working directory)." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let limit_arg =
-    let doc = "Truncate record lists to the first N entries." in
+    let doc = "Export only the first N records (sessions and notary)." in
     Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc)
   in
-  let format_arg =
-    let doc =
-      "Output format: $(b,json) (one pretty document) or $(b,jsonl) (manifest \
-       line followed by one record per line — the form the ingestion layer \
-       prefers)."
-    in
-    Arg.(value
-         & opt (enum [ ("json", "json"); ("jsonl", "jsonl") ]) "json"
-         & info [ "format" ] ~docv:"FMT" ~doc)
-  in
-  let run () seed sessions leaves key_bits what out limit format =
+  let run () seed sessions leaves key_bits what out limit =
     let world = build_world seed sessions leaves key_bits in
     let module Export = Tangled_core.Export in
-    let ext, contents =
-      match (what, format) with
-      | "sessions", "json" ->
-          (".json", Tangled_util.Json.to_string ~pretty:true
-                      (Export.sessions_json ?limit world) ^ "\n")
-      | "notary", "json" ->
-          (".json", Tangled_util.Json.to_string ~pretty:true
-                      (Export.notary_json ?limit world) ^ "\n")
-      | "stores", "json" ->
-          (".json", Tangled_util.Json.to_string ~pretty:true
-                      (Export.stores_json world) ^ "\n")
-      | "sessions", "jsonl" -> (".jsonl", Export.sessions_jsonl ?limit world)
-      | "notary", "jsonl" -> (".jsonl", Export.notary_jsonl ?limit world)
-      | "stores", "jsonl" -> (".jsonl", Export.stores_jsonl world)
-      | _, ("json" | "jsonl") -> invalid_arg ("unknown export kind " ^ what)
-      | _ -> invalid_arg ("unknown export format " ^ format)
+    let contents =
+      match what with
+      | "sessions" -> Export.sessions_jsonl ?limit world
+      | "notary" -> Export.notary_jsonl ?limit world
+      | "stores" -> Export.stores_jsonl world
+      | _ -> invalid_arg ("unknown export kind " ^ what)
     in
-    let path = Option.value ~default:(what ^ ext) out in
+    let path = Option.value ~default:(what ^ ".jsonl") out in
     Export.write_text path contents;
     Logs.app (fun m -> m "wrote %s" path)
   in
   Cmd.v
-    (Cmd.info "export" ~doc:"Export the datasets as JSON (session log, notary DB, stores)")
+    (Cmd.info "export"
+       ~doc:
+         "Export the datasets as JSONL, a manifest line then one record per \
+          line (session log, notary DB, stores)")
     Term.(const run $ logs_term $ seed_arg $ sessions_arg $ leaves_arg
-          $ key_bits_arg $ what_arg $ out_arg $ limit_arg $ format_arg)
+          $ key_bits_arg $ what_arg $ out_arg $ limit_arg)
 
 (* --- ingest ------------------------------------------------------------- *)
 
@@ -248,38 +231,29 @@ let ingest_cmd =
   let module J = Tangled_util.Json in
   let module T = Tangled_util.Text_table in
   let file_arg =
-    let doc = "Dataset to ingest: a .json document or .jsonl record stream." in
+    let doc = "Dataset to ingest: a .jsonl record stream, as $(b,export) writes it." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
   let kind_arg =
-    let doc = "Record schema: sessions, notary, stores, or auto (detect)." in
+    let doc =
+      "Record schema: sessions, notary, stores, or auto (the manifest's kind \
+       tag on line 1)."
+    in
     Arg.(value & opt string "auto" & info [ "kind" ] ~docv:"KIND" ~doc)
   in
   let detect_kind input =
-    (* the manifest's "kind" tag, wherever the manifest lives *)
-    let header_kind json =
-      match J.member "kind" json with Some (J.String k) -> Some k | _ -> None
+    (* the manifest's "kind" tag, read from the first line only *)
+    let first =
+      match String.index_opt input '\n' with
+      | Some i -> String.sub input 0 i
+      | None -> input
     in
-    let from_doc json =
-      match header_kind json with
-      | Some k -> Some k
-      | None ->
-          if J.member "sessions" json <> None then Some "sessions"
-          else if J.member "chains" json <> None then Some "notary"
-          else if J.member "stores" json <> None then Some "stores"
-          else None
-    in
-    match J.parse input with
-    | Ok json -> from_doc json
-    | Error _ -> (
-        match String.index_opt input '\n' with
-        | None -> None
-        | Some i -> (
-            match J.parse (String.sub input 0 i) with
-            | Ok json -> from_doc json
-            | Error _ -> None))
+    match J.parse first with
+    | Ok json -> (
+        match J.member "kind" json with Some (J.String k) -> Some k | _ -> None)
+    | Error _ -> None
   in
-  let run () common file kind =
+  let run () trace_out file kind =
     let input = read_whole_file file in
     let kind =
       match kind with
@@ -336,14 +310,14 @@ let ingest_cmd =
                 (fun (s, n) -> [ s; string_of_int n ])
                 (Ingest.store_sizes r)))
     | other -> invalid_arg ("unknown ingest kind " ^ other));
-    write_trace ~jobs:common.jobs common
+    write_trace trace_out
   in
   Cmd.v
     (Cmd.info "ingest"
        ~doc:
          "Re-ingest an exported dataset record-by-record: validate, \
           quarantine, dedup, reconcile against the manifest")
-    Term.(const run $ logs_term $ common_term $ file_arg $ kind_arg)
+    Term.(const run $ logs_term $ trace_out_arg $ file_arg $ kind_arg)
 
 (* --- chaos --------------------------------------------------------------- *)
 
@@ -366,7 +340,7 @@ let chaos_cmd =
       Tangled_core.Chaos.run ~seed:fault_seed ~rate ~tolerance world
     in
     print_string (Tangled_core.Chaos.render outcome);
-    write_trace ~jobs:world.Pipeline.jobs common;
+    write_trace ~jobs:world.Pipeline.jobs common.trace_out;
     if not outcome.Tangled_core.Chaos.ok then exit 1
   in
   Cmd.v
@@ -437,7 +411,7 @@ let serve_cmd =
           ~cache_capacity world
       in
       print_string (Tangled_serve.Drill.render outcome);
-      write_trace ~jobs:world.Pipeline.jobs common;
+      write_trace ~jobs:world.Pipeline.jobs common.trace_out;
       if not outcome.Tangled_serve.Drill.ok then exit 1
     end
     else begin
@@ -456,7 +430,7 @@ let serve_cmd =
             Serve.protocol_version queue_capacity batch deadline_ms);
       let summary = Serve.serve_channel server stdin stdout in
       Logs.app (fun m -> m "%s" (Serve.render_summary summary));
-      write_trace ~jobs:world.Pipeline.jobs common;
+      write_trace ~jobs:world.Pipeline.jobs common.trace_out;
       if not (Serve.reconciled summary) then exit 1
     end
   in
@@ -914,7 +888,7 @@ let ct_cmd =
         in
         Tangled_core.Export.write_text path (J.to_string doc ^ "\n");
         Logs.app (fun m -> m "wrote %s" path));
-    write_trace ~jobs:world.Pipeline.jobs common;
+    write_trace ~jobs:world.Pipeline.jobs common.trace_out;
     match !failures with
     | [] -> ()
     | ms ->

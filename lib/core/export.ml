@@ -10,11 +10,6 @@ module J = Tangled_util.Json
 module Ts = Tangled_util.Timestamp
 module Hex = Tangled_util.Hex
 
-let take limit l =
-  match limit with
-  | None -> l
-  | Some n -> List.filteri (fun i _ -> i < n) l
-
 let probe_json (o : Handshake.outcome) =
   J.Obj
     [
@@ -76,16 +71,6 @@ let sessions_meta ?limit (w : Pipeline.t) =
     ("unique_roots", J.Int (Net.unique_root_keys d));
   ]
 
-let sessions_json ?limit (w : Pipeline.t) =
-  let d = w.Pipeline.dataset in
-  J.Obj
-    (sessions_meta ?limit w
-    @ [
-        ( "sessions",
-          J.List (take limit (Array.to_list d.Net.sessions) |> List.map session_json)
-        );
-      ])
-
 let chain_json (c : Notary.chain) =
   J.Obj
     [
@@ -125,20 +110,10 @@ let notary_meta ?limit (w : Pipeline.t) =
     ("validated_by_store", J.Obj store_counts);
   ]
 
-(* chains are materialised from the arena one handle at a time and
-   dropped as soon as they are rendered — never the whole corpus *)
-let exported_chain_records ?limit n =
-  List.init (exported_count limit (Notary.total n)) (fun i ->
-      chain_json (Notary.chain n i))
-
-let notary_json ?limit (w : Pipeline.t) =
-  let n = w.Pipeline.notary in
-  J.Obj
-    (notary_meta ?limit w @ [ ("chains", J.List (exported_chain_records ?limit n)) ])
-
-let cert_json cert =
+let cert_json store cert =
   J.Obj
     [
+      ("store", J.String (Rs.name store));
       ("subject", J.String (Dn.to_string cert.C.subject));
       ("hash_id", J.String (C.subject_hash32 cert));
       ("fingerprint_sha256", J.String (Hex.encode (C.fingerprint cert)));
@@ -158,57 +133,41 @@ let stores_meta (w : Pipeline.t) =
     ("sizes", J.Obj (List.map (fun s -> (Rs.name s, J.Int (Rs.cardinal s))) stores));
   ]
 
-let stores_json (w : Pipeline.t) =
-  let store_json store =
-    J.Obj
-      [
-        ("name", J.String (Rs.name store));
-        ("size", J.Int (Rs.cardinal store));
-        ("certificates", J.List (List.map cert_json (Rs.certs store)));
-      ]
-  in
-  J.Obj (stores_meta w @ [ ("stores", J.List (List.map store_json (official_stores w))) ])
-
 (* --- JSONL: one manifest line, then one record per line ---------------- *)
 
+(* [records line] makes the records one at a time and hands each to
+   [line], which renders it into the buffer at once: no list of record
+   trees is held, and Notary chains are materialised from the arena one
+   handle at a time. *)
 let jsonl header records =
   let b = Buffer.create 65_536 in
-  Buffer.add_string b (J.to_string (J.Obj header));
-  Buffer.add_char b '\n';
-  List.iter
-    (fun r ->
-      Buffer.add_string b (J.to_string r);
-      Buffer.add_char b '\n')
-    records;
+  let line json =
+    Buffer.add_string b (J.to_string json);
+    Buffer.add_char b '\n'
+  in
+  line (J.Obj header);
+  records line;
   Buffer.contents b
 
 let sessions_jsonl ?limit (w : Pipeline.t) =
   let d = w.Pipeline.dataset in
-  jsonl (sessions_meta ?limit w)
-    (take limit (Array.to_list d.Net.sessions) |> List.map session_json)
+  jsonl (sessions_meta ?limit w) (fun line ->
+      for i = 0 to exported_count limit (Net.total_sessions d) - 1 do
+        line (session_json d.Net.sessions.(i))
+      done)
 
 let notary_jsonl ?limit (w : Pipeline.t) =
   let n = w.Pipeline.notary in
-  jsonl (notary_meta ?limit w) (exported_chain_records ?limit n)
+  jsonl (notary_meta ?limit w) (fun line ->
+      for i = 0 to exported_count limit (Notary.total n) - 1 do
+        line (chain_json (Notary.chain n i))
+      done)
 
 let stores_jsonl (w : Pipeline.t) =
-  let cert_record store cert =
-    match cert_json cert with
-    | J.Obj fields -> J.Obj (("store", J.String (Rs.name store)) :: fields)
-    | other -> other
-  in
-  jsonl (stores_meta w)
-    (List.concat_map
-       (fun s -> List.map (cert_record s) (Rs.certs s))
-       (official_stores w))
-
-let write_file path json =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~pretty:true json);
-      output_char oc '\n')
+  jsonl (stores_meta w) (fun line ->
+      List.iter
+        (fun s -> List.iter (fun c -> line (cert_json s c)) (Rs.certs s))
+        (official_stores w))
 
 let write_text path text =
   let oc = open_out_bin path in

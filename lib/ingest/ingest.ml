@@ -62,7 +62,6 @@ type stats = {
 }
 
 type 'a ingest = {
-  header : (string * J.t) list;
   records : 'a array;
   quarantine : quarantined list;
   stats : stats;
@@ -279,10 +278,7 @@ let cert_of_json json =
 (* --- generic record-by-record engine ----------------------------------- *)
 
 type 'a schema = {
-  list_field : string;  (** record list in the single-document form *)
   declared_field : string;  (** manifest control total *)
-  flatten : (string * J.t) list -> (string * J.t) list;
-      (** the single-document form's fields as the engine reads them *)
   of_json : J.t -> ('a, reason) result;
   identity : 'a -> string;
   same : 'a -> 'a -> bool;
@@ -306,65 +302,24 @@ let has_control_bytes s =
 
 let control_bytes_msg = "record line carries raw NUL/control bytes"
 
-(* Header heuristic for the JSONL form: the first line is a manifest
-   iff it parses to an object that looks like one (carries the control
-   total or a "kind" tag) rather than like a record. *)
+(* Header heuristic: the first non-empty line is a manifest iff it
+   parses to an object that looks like one (carries the control total
+   or a "kind" tag) rather than like a record. *)
 let looks_like_header schema fields =
   List.mem_assoc "kind" fields || List.mem_assoc schema.declared_field fields
 
-(* Normalise both accepted input forms to (manifest, numbered records,
-   input digest), parsing and hashing the input once.  Line numbers are
-   1-based with the manifest at line 1, so quarantine entries point at
-   real lines of a JSONL file.  The digest is SHA-256 over the raw
-   input, a control total for the bytes that were actually ingested;
-   in the JSONL branch it is absorbed chunk by chunk as the line
-   scanner walks the buffer. *)
-let split_input schema input =
-  match J.parse input with
-  | Ok (J.Obj fields) -> (
-      let fields = schema.flatten fields in
-      let digest = H.hex input in
-      match List.assoc_opt schema.list_field fields with
-      | Some (J.List records) ->
-          ( List.remove_assoc schema.list_field fields,
-            List.mapi (fun i r -> (i + 2, Ok r)) records,
-            digest )
-      | _ -> ([], [ (1, Ok (J.Obj fields)) ], digest))
-  | Ok other -> ([], [ (1, Ok other) ], H.hex input)
-  | Error _ ->
-      (* index-based line scan: one substring per non-empty line, no
-         intermediate list of raw lines *)
-      let ctx = H.init () in
-      let n = String.length input in
-      let lines = ref [] in
-      let i = ref 0 in
-      while !i < n do
-        let j =
-          match String.index_from_opt input !i '\n' with Some j -> j | None -> n
-        in
-        H.feed_sub ctx input ~off:!i ~len:(Stdlib.min (j + 1) n - !i);
-        if j > !i then lines := String.sub input !i (j - !i) :: !lines;
-        i := j + 1
-      done;
-      let digest = Tangled_util.Hex.encode (H.finalize ctx) in
-      let lines = List.rev !lines in
-      let parse_line offset i line =
-        ( i + offset,
-          if has_control_bytes line then Error (control_bytes_msg, line)
-          else match J.parse line with Ok j -> Ok j | Error e -> Error (e, line) )
-      in
-      (match lines with
-      | [] -> ([], [], digest)
-      | first :: rest -> (
-          match J.parse first with
-          | Ok (J.Obj fields) when looks_like_header schema fields ->
-              (fields, List.mapi (parse_line 2) rest, digest)
-          | _ -> ([], List.mapi (parse_line 1) lines, digest)))
-
+(* One pass over the input: each line is absorbed into the input
+   digest and, unless blank, read as the manifest or classified as a
+   record before the next line is scanned.  Line numbers are the
+   1-based physical lines of the input, blank ones included, so a
+   quarantine entry points at its line of the file.  The digest is
+   SHA-256 over the raw input, a control total for the bytes that were
+   actually ingested. *)
 let run schema input =
   Obs.span "ingest.run" @@ fun () ->
-  let header, numbered, input_sha256 = split_input schema input in
+  let ctx = H.init () in
   let seen_keys : (string, 'a) Hashtbl.t = Hashtbl.create 1024 in
+  let declared = ref None in
   let accepted = ref [] in
   let quarantine = ref [] in
   let n_seen = ref 0 in
@@ -376,24 +331,27 @@ let run schema input =
       ~fields:[ ("label", reason_label reason); ("line", string_of_int line) ];
     quarantine := { line; reason; snippet } :: !quarantine
   in
-  List.iter
-    (fun (line, parsed) ->
-      incr n_seen;
-      Obs.time_histogram record_latency @@ fun () ->
-      match parsed with
-      | Error (msg, text) ->
+  (* control bytes before any parse, then syntax, schema and identity *)
+  let record line text =
+    incr n_seen;
+    Obs.time_histogram record_latency @@ fun () ->
+    if has_control_bytes text then
+      put line (Control_bytes control_bytes_msg) (snippet_of text)
+    else
+      match J.parse text with
+      | Error msg ->
           let reason =
-            if has_control_bytes text then Control_bytes control_bytes_msg
-            else if J.error_is_truncation msg then Truncated_record
-            else Malformed_json msg
+            if J.error_is_truncation msg then Truncated_record else Malformed_json msg
           in
           put line reason (snippet_of text)
       | Ok json -> (
-          let snippet = snippet_of (J.to_string json) in
+          (* a parsed record is re-printed for its snippet only when it
+             is quarantined *)
+          let reject reason = put line reason (snippet_of (J.to_string json)) in
           match json with
           | J.Obj _ -> (
               match schema.of_json json with
-              | Error reason -> put line reason snippet
+              | Error reason -> reject reason
               | Ok v -> (
                   let key = schema.identity v in
                   match Hashtbl.find_opt seen_keys key with
@@ -404,17 +362,36 @@ let run schema input =
                       incr n_accepted
                   | Some prior when schema.same prior v ->
                       incr n_replays;
-                      put line (Duplicate_record key) snippet
+                      reject (Duplicate_record key)
                   | Some _ ->
                       incr n_replays;
-                      put line (Conflicting_record key) snippet))
-          | _ -> put line (Bad_value "record is not a JSON object") snippet))
-    numbered;
-  let declared =
-    match List.assoc_opt schema.declared_field header with
-    | Some (J.Int n) when n >= 0 -> Some n
-    | _ -> None
+                      reject (Conflicting_record key)))
+          | _ -> reject (Bad_value "record is not a JSON object"))
   in
+  let n = String.length input in
+  let i = ref 0 and line = ref 1 and first = ref true in
+  while !i < n do
+    let j =
+      match String.index_from_opt input !i '\n' with Some j -> j | None -> n
+    in
+    H.feed_sub ctx input ~off:!i ~len:(Stdlib.min (j + 1) n - !i);
+    if j > !i then begin
+      let text = String.sub input !i (j - !i) in
+      (if not !first then record !line text
+       else
+         match J.parse text with
+         | Ok (J.Obj fields) when looks_like_header schema fields ->
+             declared :=
+               (match List.assoc_opt schema.declared_field fields with
+               | Some (J.Int d) when d >= 0 -> Some d
+               | _ -> None)
+         | _ -> record !line text);
+      first := false
+    end;
+    i := j + 1;
+    incr line
+  done;
+  let declared = !declared in
   let quarantine = List.rev !quarantine in
   let by_label =
     let tbl = Hashtbl.create 8 in
@@ -435,7 +412,6 @@ let run schema input =
         Stdlib.max 0 (d - !n_accepted - (List.length quarantine - !n_replays))
   in
   {
-    header;
     records = Array.of_list (List.rev !accepted);
     quarantine;
     stats =
@@ -447,7 +423,7 @@ let run schema input =
         replays = !n_replays;
         missing;
         by_label;
-        input_sha256;
+        input_sha256 = Tangled_util.Hex.encode (H.finalize ctx);
       };
   }
 
@@ -455,9 +431,7 @@ let run schema input =
 
 let session_schema =
   {
-    list_field = "sessions";
     declared_field = "exported_sessions";
-    flatten = Fun.id;
     of_json = session_of_json;
     identity = (fun s -> string_of_int s.session_id);
     same = (fun a b -> a = b);
@@ -465,40 +439,15 @@ let session_schema =
 
 let chain_schema =
   {
-    list_field = "chains";
     declared_field = "exported_chains";
-    flatten = Fun.id;
     of_json = chain_of_json;
     identity = (fun c -> c.subject);
     same = (fun a b -> a = b);
   }
 
-(* The single-document store export nests certificates per store;
-   flatten it to the per-certificate records the engine expects. *)
-let flatten_stores fields =
-  match List.assoc_opt "stores" fields with
-  | Some (J.List stores) ->
-      let flat =
-        List.concat_map
-          (fun store ->
-            match (J.member "name" store, J.member "certificates" store) with
-            | Some (J.String name), Some (J.List certs) ->
-                List.map
-                  (function
-                    | J.Obj cf -> J.Obj (("store", J.String name) :: cf)
-                    | other -> other)
-                  certs
-            | _ -> [ store ])
-          stores
-      in
-      ("certificates", J.List flat) :: List.remove_assoc "stores" fields
-  | _ -> fields
-
 let cert_schema =
   {
-    list_field = "certificates";
     declared_field = "total_certificates";
-    flatten = flatten_stores;
     of_json = cert_of_json;
     identity = (fun c -> c.store ^ "/" ^ c.fingerprint);
     same = (fun a b -> a = b);

@@ -75,7 +75,9 @@ val reason_of_der_error : Tangled_asn1.Der.error -> reason
     else a {!Bad_value}. *)
 
 type quarantined = {
-  line : int;  (** 1-based input line (the manifest is line 1) *)
+  line : int;
+      (** 1-based physical input line, blank lines counted (the
+          manifest is line 1) *)
   reason : reason;
   snippet : string;  (** first bytes of the offending record *)
 }
@@ -84,7 +86,7 @@ type quarantined = {
 
 type stats = {
   declared : int option;  (** the manifest's control total, if present *)
-  seen : int;  (** record lines/items encountered *)
+  seen : int;  (** record lines encountered (not the manifest, not blank lines) *)
   accepted : int;
   quarantined_total : int;
   replays : int;
@@ -95,14 +97,13 @@ type stats = {
           form (dropped uploads) *)
   by_label : (string * int) list;  (** taxonomy label -> count, desc *)
   input_sha256 : string;
-      (** lowercase hex SHA-256 of the raw input bytes, absorbed while
-          the line scanner walks the buffer — a control total for what
+      (** lowercase hex SHA-256 of the raw input bytes, absorbed line
+          by line as the scan reads them — a control total for what
           was actually ingested.  Deliberately not part of
           {!render_stats} (report output is byte-stable across PRs). *)
 }
 
 type 'a ingest = {
-  header : (string * Tangled_util.Json.t) list;  (** manifest fields *)
   records : 'a array;  (** accepted records, input order *)
   quarantine : quarantined list;
   stats : stats;
@@ -158,9 +159,14 @@ type cert_view = {
 
 (** {1 Ingestion}
 
-    Each entry point accepts either the JSONL form (manifest line then
-    one record per line) or the single-document JSON form written by
-    [Export.write_file].  Total: any byte string yields a result. *)
+    Each entry point reads the JSONL form [Export] writes: an optional
+    manifest line (the first non-empty line, when it is an object
+    carrying a ["kind"] tag or the control total), then one record per
+    line.  The input is read in one pass: each line is hashed, parsed,
+    validated, deduplicated and tallied before the next is read, and a
+    record is re-printed for its snippet only when it is quarantined.
+    Blank lines are skipped but counted in line numbers.  Total: any
+    byte string yields a result. *)
 
 val sessions_of_string : string -> session_view ingest
 val notary_of_string : string -> chain_view ingest

@@ -25,9 +25,22 @@ let escape_string s =
   Buffer.add_char b '"';
   Buffer.contents b
 
+(* An integral float below 1e15 prints with one decimal; any other
+   with the fewest significant digits, from 12 to 17, that read back
+   exactly (17 always do for a finite float).  A ".0" goes on where %g
+   leaves neither point nor exponent, so the literal parses back as a
+   float, not an int. *)
 let float_literal f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
+  else
+    let rec shortest digits =
+      let s = Printf.sprintf "%.*g" digits f in
+      if digits >= 17 || float_of_string s = f then s else shortest (digits + 1)
+    in
+    let s = shortest 12 in
+    if Float.is_finite f && not (String.exists (fun c -> c = '.' || c = 'e') s)
+    then s ^ ".0"
+    else s
 
 (* --- parsing ----------------------------------------------------------- *)
 

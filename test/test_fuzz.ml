@@ -146,6 +146,25 @@ let prop_json_pretty_roundtrip =
       | Ok j' -> j = j'
       | Error _ -> false)
 
+(* Any finite float prints to a literal that parses back to the same
+   float: arbitrary bit patterns, and epoch timestamps to the
+   microsecond (a trace span's start_s), which 12 significant digits
+   cut to 10 ms. *)
+let prop_json_float_roundtrip =
+  let epoch_us =
+    QCheck.Gen.map
+      (fun us -> float_of_int us /. 1e6)
+      QCheck.Gen.(1_300_000_000_000_000 -- 2_100_000_000_000_000)
+  in
+  QCheck.Test.make ~name:"Json float print/parse roundtrip" ~count:1000
+    (QCheck.make ~print:string_of_float
+       QCheck.Gen.(frequency [ (1, float); (1, epoch_us) ]))
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match J.parse (J.to_string (J.Float f)) with
+      | Ok (J.Float g) -> Float.equal f g
+      | Ok _ | Error _ -> false)
+
 let prop_ingest_total =
   QCheck.Test.make ~name:"Ingest entry points never raise" ~count:600
     QCheck.string (fun s ->
@@ -198,6 +217,7 @@ let suite =
     qtest prop_json_parse_total;
     qtest prop_json_roundtrip;
     qtest prop_json_pretty_roundtrip;
+    qtest prop_json_float_roundtrip;
     qtest prop_ingest_total;
     qtest prop_ingest_total_on_faulted_exports;
     qtest prop_bigint_parse_total;

@@ -115,60 +115,70 @@ let test_json_pretty () =
 
 (* --- export --------------------------------------------------------------- *)
 
+(* An export's manifest fields and record objects, one per line. *)
+let jsonl_lines doc =
+  match String.split_on_char '\n' doc |> List.filter (( <> ) "") |> List.map J.parse with
+  | Ok (J.Obj manifest) :: records ->
+      ( manifest,
+        List.map
+          (function Ok (J.Obj fields) -> fields | _ -> Alcotest.fail "record not an object")
+          records )
+  | _ -> Alcotest.fail "no manifest object on line 1"
+
+let int_field name fields =
+  match List.assoc_opt name fields with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.failf "%s is not an int" name
+
 let test_export_sessions () =
   let w = Lazy.force world in
-  match Export.sessions_json ~limit:5 w with
-  | J.Obj fields ->
-      Alcotest.(check bool) "has sessions" true (List.mem_assoc "sessions" fields);
-      (match List.assoc "sessions" fields with
-      | J.List l -> check Alcotest.int "limited" 5 (List.length l)
-      | _ -> Alcotest.fail "sessions not a list");
-      (match List.assoc "total_sessions" fields with
-      | J.Int n ->
-          check Alcotest.int "totals"
-            (Tangled_netalyzr.Netalyzr.total_sessions w.Pipeline.dataset) n
-      | _ -> Alcotest.fail "total not int")
-  | _ -> Alcotest.fail "not an object"
+  let manifest, records = jsonl_lines (Export.sessions_jsonl ~limit:5 w) in
+  check Alcotest.int "limited" 5 (List.length records);
+  check Alcotest.int "control total" 5 (int_field "exported_sessions" manifest);
+  check Alcotest.int "totals"
+    (Tangled_netalyzr.Netalyzr.total_sessions w.Pipeline.dataset)
+    (int_field "total_sessions" manifest);
+  Alcotest.(check bool) "records carry session ids" true
+    (List.for_all (List.mem_assoc "session_id") records)
 
 let test_export_notary () =
   let w = Lazy.force world in
-  match Export.notary_json ~limit:3 w with
-  | J.Obj fields ->
-      (match List.assoc "unexpired" fields with
-      | J.Int n -> check Alcotest.int "unexpired" 2000 n
-      | _ -> Alcotest.fail "unexpired");
-      (match List.assoc "validated_by_store" fields with
-      | J.Obj stores -> check Alcotest.int "six stores" 6 (List.length stores)
-      | _ -> Alcotest.fail "stores")
-  | _ -> Alcotest.fail "not an object"
+  let manifest, records = jsonl_lines (Export.notary_jsonl ~limit:3 w) in
+  check Alcotest.int "limited" 3 (List.length records);
+  check Alcotest.int "control total" 3 (int_field "exported_chains" manifest);
+  check Alcotest.int "unexpired" 2000 (int_field "unexpired" manifest);
+  match List.assoc_opt "validated_by_store" manifest with
+  | Some (J.Obj stores) -> check Alcotest.int "six stores" 6 (List.length stores)
+  | _ -> Alcotest.fail "stores"
 
 let test_export_stores_parseable_sizes () =
   let w = Lazy.force world in
-  match Export.stores_json w with
-  | J.Obj fields when List.mem_assoc "stores" fields -> (
-      match List.assoc "stores" fields with
-      | J.List stores ->
-          check Alcotest.int "six stores" 6 (List.length stores);
-          List.iter
-            (function
-              | J.Obj fields -> (
-                  match (List.assoc "size" fields, List.assoc "certificates" fields) with
-                  | J.Int size, J.List certs ->
-                      check Alcotest.int "size matches list" size (List.length certs)
-                  | _ -> Alcotest.fail "bad store shape")
-              | _ -> Alcotest.fail "store not an object")
-            stores
-      | _ -> Alcotest.fail "stores is not a list")
-  | _ -> Alcotest.fail "unexpected shape"
+  let manifest, records = jsonl_lines (Export.stores_jsonl w) in
+  check Alcotest.int "control total" (List.length records)
+    (int_field "total_certificates" manifest);
+  match List.assoc_opt "sizes" manifest with
+  | Some (J.Obj sizes) ->
+      check Alcotest.int "six stores" 6 (List.length sizes);
+      List.iter
+        (fun (name, size) ->
+          let certs =
+            List.filter (fun r -> List.assoc_opt "store" r = Some (J.String name)) records
+          in
+          check Alcotest.int ("size matches records: " ^ name)
+            (match size with J.Int n -> n | _ -> -1)
+            (List.length certs))
+        sizes
+  | _ -> Alcotest.fail "sizes is not an object"
 
 let test_export_write_file () =
   with_tmpdir (fun dir ->
-      let path = Filename.concat dir "out.json" in
-      Export.write_file path (J.Obj [ ("x", J.Int 1) ]);
-      let ic = open_in path in
-      let line = input_line ic in
+      let path = Filename.concat dir "out.jsonl" in
+      let text = "{\"kind\":\"x\"}\n{\"a\":1}\n" in
+      Export.write_text path text;
+      let ic = open_in_bin path in
+      let written = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      check Alcotest.string "written" "{" line)
+      check Alcotest.string "written" text written)
 
 (* --- blocklist -------------------------------------------------------------- *)
 

@@ -324,7 +324,23 @@ let test_reload_good_and_poisoned () =
   | _ -> Alcotest.fail "expected one response");
   check
     Alcotest.(pair int int)
-    "rejected reload retains nothing" (certs, bytes) (corpus_stats ())
+    "rejected reload retains nothing" (certs, bytes) (corpus_stats ());
+  (* a header-only dump is rejected too: the export's own manifest
+     line (every declared certificate missing), and a manifest that
+     declares zero, which reconciles but would serve no store *)
+  let manifest = String.sub doc 0 (String.index doc '\n' + 1) in
+  List.iteri
+    (fun i payload ->
+      (match Serve.serve_burst t [ reload (5 + i) payload ] with
+      | [ r ] ->
+          check (Alcotest.option Alcotest.string) "header-only reload rejected"
+            (Some "update-rejected") (error_label r)
+      | _ -> Alcotest.fail "expected one response");
+      check Alcotest.int "header-only: epoch unchanged" 2 (Serve.summary t).Serve.epoch)
+    [ manifest; "{\"kind\":\"stores\",\"total_certificates\":0}\n" ];
+  check
+    Alcotest.(pair int int)
+    "header-only reloads retain nothing" (certs, bytes) (corpus_stats ())
 
 (* --- unit: the request-level decision cache ---------------------------- *)
 
