@@ -52,9 +52,10 @@ let audit_interval = 64
 let batch_size = 4096
 
 (* What a worker hands the sequential fold for one chain: the leaf's
-   DER, the first 8 bytes of its SHA-256 fingerprint and its verified
-   anchor — not the boxed certificate, which dies in the worker. *)
-type built = { der : string; key_fp : int64; anchor : string option }
+   DER and the first 8 bytes of its SHA-256 fingerprint — not the boxed
+   certificate, which dies in the worker.  The chain's anchor is its
+   issuer's root, which the fold already knows. *)
+type built = { der : string; key_fp : int64 }
 
 (* Largest-remainder apportionment of [total] items over [weights]. *)
 let apportion weights total =
@@ -87,7 +88,7 @@ let apportion weights total =
     counts
   end
 
-let verify_chain ~now ~issuer_root chain_certs leaf =
+let verify_chain ~issuer_root chain_certs leaf =
   (* one full cryptographic walk per chain; store counting afterwards is
      pure anchor-set membership.  Verifications go through the
      domain-local memo: each issuer signs every leaf over the same
@@ -95,14 +96,9 @@ let verify_chain ~now ~issuer_root chain_certs leaf =
      pair hit the cache. *)
   let rec walk cert rest =
     match rest with
-    | [] ->
-        let root = issuer_root in
-        if Chain.verify_cert ~issuer:root cert then Some (C.equivalence_key root)
-        else None
-    | inter :: tail ->
-        if Chain.verify_cert ~issuer:inter cert then walk inter tail else None
+    | [] -> Chain.verify_cert ~issuer:issuer_root cert
+    | inter :: tail -> Chain.verify_cert ~issuer:inter cert && walk inter tail
   in
-  ignore now;
   walk leaf chain_certs
 
 let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
@@ -132,12 +128,6 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
     |> List.map (fun r -> (r.BP.authority, r.BP.traffic_weight))
   in
   let issuers = Array.of_list (public_issuers @ Array.to_list universe.BP.private_cas) in
-  (* anchor identities, interned per issuer rather than per chain *)
-  let anchor_keys =
-    Array.map
-      (fun (a, _) -> C.equivalence_key a.Authority.certificate)
-      issuers
-  in
   let weights = Array.map snd issuers in
   let counts = apportion weights leaves in
   (* one intermediate per issuer, shared by ~half its leaves.  The
@@ -217,22 +207,22 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
         (Dn.make domain)
     in
     let inters = if via then [ parent.Authority.certificate ] else [] in
-    let anchor =
-      if j mod audit_interval <> 0 then
-        (* unaudited chain: anchor identity without the redundant
-           self-verification (the per-issuer key is precomputed) *)
-        Some anchor_keys.(issuer_i)
-      else
-        match
-          verify_chain ~now ~issuer_root:authority.Authority.certificate inters
-            leaf
-        with
-        | None ->
-            failwith
-              (Printf.sprintf "Notary: sampled chain audit failed at index %d" j)
-        | r -> r
-    in
-    { der = leaf.C.raw; key_fp = String.get_int64_be (C.fingerprint leaf) 0; anchor }
+    if
+      j mod audit_interval = 0
+      && not (verify_chain ~issuer_root:authority.Authority.certificate inters leaf)
+    then failwith (Printf.sprintf "Notary: sampled chain audit failed at index %d" j);
+    { der = leaf.C.raw; key_fp = String.get_int64_be (C.fingerprint leaf) 0 }
+  in
+  (* each issuer's anchor id, resolved on its first chain in the fold,
+     so that an id the interner mints is minted in chain order *)
+  let anchor_ids = Array.make (Array.length issuers) (-1) in
+  let anchor_id issuer_i =
+    if anchor_ids.(issuer_i) < 0 then begin
+      let authority, _ = issuers.(issuer_i) in
+      anchor_ids.(issuer_i) <-
+        Interner.intern interner (C.equivalence_key authority.Authority.certificate)
+    end;
+    anchor_ids.(issuer_i)
   in
   let lo = ref 0 in
   while !lo < total do
@@ -245,11 +235,7 @@ let generate ?(leaves = 10_000) ?(expired_fraction = 0.10) ?(jobs = 1) ~seed
       (fun i b ->
         let j = base + i in
         let expired = j >= assigned in
-        let anchor_id =
-          match b.anchor with
-          | Some key -> Interner.intern interner key
-          | None -> -1
-        in
+        let anchor_id = anchor_id p_issuer.(j) in
         let flags =
           (if expired then Arena.flag_expired else 0)
           lor

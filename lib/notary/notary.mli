@@ -20,10 +20,10 @@
     batches of chains are built in parallel (pure RSA issuance + chain
     verification), appended to the arena, folded into the incremental
     {!Tangled_engine.Coverage} index, and dropped.  A worker hands the
-    fold only each leaf's DER, key fingerprint and anchor, so the heap
-    holds one batch of DER strings whatever the corpus size, and seeded
-    output is byte-identical at any [jobs] count — including the arena
-    digest.
+    fold only each leaf's DER and key fingerprint (the fold knows each
+    chain's anchor, its issuer's root), so the heap holds one batch of
+    DER strings whatever the corpus size, and seeded output is
+    byte-identical at any [jobs] count — including the arena digest.
 
     Every aggregate query below is an array reduction over the
     coverage index rather than a scan of the corpus. *)

@@ -101,10 +101,10 @@ let key_usage_bits kus =
   for i = 0 to 7 do
     if bits land (1 lsl i) <> 0 then byte := !byte lor (0x80 lsr i)
   done;
-  (* trailing unused bits: find lowest set position *)
-  let rec unused i = if i < 0 then 7 else if !byte land (1 lsl i) <> 0 then i else unused (i - 1) in
-  let u = if !byte = 0 then 0 else unused 7 in
-  ignore u;
+  (* Always 0 unused bits, though DER's named-bit rule would count the
+     trailing zero bits.  On purpose: every certificate the simulation
+     issues, so every corpus byte and every signature over a TBS,
+     depends on this byte. *)
   Der.Bit_string (0, String.make 1 (Char.chr !byte))
 
 let key_usage_of_bitstring (unused, payload) =

@@ -294,6 +294,41 @@ let test_wide_sweep () =
         [ ones 3; B.of_int 65537 ])
     (List.init 126 (fun i -> i + 1))
 
+(* The unrolled k = 7 kernels, which every 384-bit CRT half runs,
+   against the oracle and against the loop kernels: moduli of every
+   width from 169 to 196 bits (all seven limbs), so the 196-bit ones
+   fill the top limb (m > R/2) and a kernel result can carry into its
+   high unit; bases below m or up to 2k limbs wide, which load through
+   REDC; full-width exponents.  The same powm on a context widened to
+   eight limbs runs the loop kernels. *)
+let gen_k7_case =
+  QCheck.Gen.(
+    let bytes n = string_size ~gen:char (return n) in
+    int_range 169 196 >>= fun bits ->
+    map4
+      (fun m_raw b e_raw reduce ->
+        let top = B.shift_left B.one (bits - 1) in
+        let m = B.add top (B.erem (B.of_bytes_be m_raw) top) in
+        let m = if B.is_odd m then m else B.add m B.one in
+        let e = B.add top (B.erem (B.of_bytes_be e_raw) top) in
+        let b = B.of_bytes_be b in
+        (m, (if reduce then B.erem b m else b), e))
+      (bytes 25) (int_range 0 49 >>= bytes) (bytes 25) bool)
+
+let prop_k7_kernels =
+  QCheck.Test.make ~name:"k = 7 kernels equal legacy modpow and the 8-limb loops"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (m, b, e) ->
+         Printf.sprintf "m=%s (%d bits) base=%s exp=%s" (B.to_string m) (B.bit_length m)
+           (B.to_string b) (B.to_string e))
+       gen_k7_case)
+    (fun (m, b, e) ->
+      let want = B.modpow b e m and sched = Mont.schedule e in
+      let powm ctx = Mont.powm ctx (Mont.scratch ctx) sched b in
+      let k7 = Mont.create m and k8 = Mont.create ~limbs:8 m in
+      Mont.limbs k7 = 7 && B.equal want (powm k7) && B.equal want (powm k8))
+
 let suite =
   [
     qtest prop_mont_matches_oracle;
@@ -311,4 +346,5 @@ let suite =
     Alcotest.test_case "wide width sweep (64-2048 bits)" `Quick test_width_sweep;
     Alcotest.test_case "width sweep 2072-3528 bits, all-ones moduli" `Quick
       test_wide_sweep;
+    qtest prop_k7_kernels;
   ]
