@@ -52,8 +52,8 @@ let csv_dir_arg =
   Arg.(value & opt (some dir) None & info [ "csv-dir" ] ~docv:"DIR" ~doc)
 
 (* Flags the measurement subcommands that build a world (report, chaos,
-   serve, ct) accept uniformly, so instrumentation is driven the same
-   way everywhere.  `ingest` replays a recorded dataset and takes only
+   serve) accept uniformly, so instrumentation is driven the same way
+   everywhere.  `ingest` replays a recorded dataset and takes only
    --trace-out. *)
 type common = { seed : int; jobs : int; trace_out : string option }
 
@@ -729,186 +729,11 @@ let scale_cmd =
     Term.(const run $ logs_term $ seed_arg $ key_bits_arg $ leaves_all_arg
           $ out_arg $ check_jobs_arg $ max_heap_arg)
 
-(* --- ct ---------------------------------------------------------------- *)
-
-let ct_cmd =
-  let module Ct_report = Tangled_core.Ct_report in
-  let module Fleet = Tangled_ct.Fleet in
-  let module Ct_log = Tangled_ct.Log in
-  let module Proof = Tangled_ct.Proof in
-  let module J = Tangled_util.Json in
-  let prove_arg =
-    let doc =
-      "Emit an inclusion proof for leaf INDEX of LOG (e.g. ct0:17) and verify \
-       it through the pure proof API."
-    in
-    Arg.(value & opt (some string) None
-         & info [ "prove" ] ~docv:"LOG:INDEX" ~doc)
-  in
-  let consistency_arg =
-    let doc =
-      "Emit a consistency proof between tree sizes FIRST and SECOND of LOG \
-       (e.g. ct0:100:2000) and verify it."
-    in
-    Arg.(value & opt (some string) None
-         & info [ "consistency" ] ~docv:"LOG:FIRST:SECOND" ~doc)
-  in
-  let out_arg =
-    let doc = "Write the fleet summary (heads, visibility rows) as JSON." in
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
-  in
-  let split_ref spec =
-    match String.split_on_char ':' spec with
-    | [ log; a ] -> (log, int_of_string_opt a, None)
-    | [ log; a; b ] -> (log, int_of_string_opt a, int_of_string_opt b)
-    | _ -> (spec, None, None)
-  in
-  let die fmt = Printf.ksprintf (fun m -> prerr_endline ("ct: " ^ m); exit 1) fmt in
-  let entry_exn fleet name =
-    match Fleet.find_log fleet name with
-    | Some e -> e
-    | None -> die "no log named %s" name
-  in
-  let proof_json name kind extra proof =
-    J.Obj
-      ([ ("log", J.String name); ("kind", J.String kind) ]
-      @ extra
-      @ [
-          ( "proof",
-            J.List
-              (List.map
-                 (fun h -> J.String (Tangled_util.Hex.encode h))
-                 proof) );
-        ])
-  in
-  let run () common sessions leaves key_bits prove consistency out =
-    let failures = ref [] in
-    let world = build_world ~jobs:common.jobs common.seed sessions leaves key_bits in
-    (* the report's "ct" section; the proofs below read the same fleet *)
-    let report = Ct_report.compute world in
-    let fleet = Ct_report.fleet report in
-    print_string (Ct_report.render report);
-    (* --prove LOG:INDEX *)
-    (match prove with
-    | None -> ()
-    | Some spec -> (
-        match split_ref spec with
-        | log_name, Some index, None -> (
-            let e = entry_exn fleet log_name in
-            let n = Ct_log.size e.Fleet.log in
-            match Ct_log.inclusion_proof e.Fleet.log ~index ~tree_size:n with
-            | Error err -> die "%s" err
-            | Ok proof ->
-                let ok =
-                  match Fleet.leaf_der fleet e index with
-                  | Some leaf ->
-                      Proof.verify_inclusion ~leaf ~index ~tree_size:n ~proof
-                        ~root:(Ct_log.head e.Fleet.log)
-                  | None -> false
-                in
-                print_endline
-                  (J.to_string
-                     (proof_json log_name "inclusion"
-                        [
-                          ("index", J.Int index);
-                          ("tree_size", J.Int n);
-                          ("root", J.String (Ct_log.head_hex e.Fleet.log));
-                          ("verified", J.Bool ok);
-                        ]
-                        proof));
-                if not ok then
-                  failures := ("--prove " ^ spec) :: !failures)
-        | _ -> die "--prove wants LOG:INDEX, got %s" spec));
-    (* --consistency LOG:FIRST:SECOND *)
-    (match consistency with
-    | None -> ()
-    | Some spec -> (
-        match split_ref spec with
-        | log_name, Some first, Some second -> (
-            let e = entry_exn fleet log_name in
-            match
-              ( Ct_log.consistency_proof e.Fleet.log ~first ~second,
-                Ct_log.head_at e.Fleet.log first,
-                Ct_log.head_at e.Fleet.log second )
-            with
-            | Ok proof, Ok r1, Ok r2 ->
-                let ok =
-                  Proof.verify_consistency ~first ~second ~first_root:r1
-                    ~second_root:r2 ~proof
-                in
-                print_endline
-                  (J.to_string
-                     (proof_json log_name "consistency"
-                        [
-                          ("first", J.Int first);
-                          ("second", J.Int second);
-                          ("first_root", J.String (Tangled_util.Hex.encode r1));
-                          ("second_root", J.String (Tangled_util.Hex.encode r2));
-                          ("verified", J.Bool ok);
-                        ]
-                        proof));
-                if not ok then
-                  failures := ("--consistency " ^ spec) :: !failures
-            | Error err, _, _ | _, Error err, _ | _, _, Error err -> die "%s" err)
-        | _ -> die "--consistency wants LOG:FIRST:SECOND, got %s" spec));
-    (match out with
-    | None -> ()
-    | Some path ->
-        let doc =
-          J.Obj
-            [
-              ("seed", J.Int common.seed);
-              ("logs", J.Int (Fleet.n_logs fleet));
-              ( "heads",
-                J.Obj
-                  (Array.to_list
-                     (Array.map
-                        (fun (e : Fleet.entry) ->
-                          ( Ct_log.name e.Fleet.log,
-                            J.Obj
-                              [
-                                ("tree_size", J.Int (Ct_log.size e.Fleet.log));
-                                ("head", J.String (Ct_log.head_hex e.Fleet.log));
-                              ] ))
-                        (Fleet.entries fleet))) );
-              ( "visibility",
-                J.List
-                  (List.map
-                     (fun (r : Fleet.store_row) ->
-                       J.Obj
-                         [
-                           ("store", J.String r.Fleet.store_name);
-                           ("roots", J.Int r.Fleet.roots);
-                           ("accepted", J.Int r.Fleet.accepted);
-                           ("logged", J.Int r.Fleet.logged);
-                           ("dark", J.Int r.Fleet.dark);
-                         ])
-                     (Fleet.official_visibility fleet)) );
-            ]
-        in
-        Tangled_core.Export.write_text path (J.to_string doc ^ "\n");
-        Logs.app (fun m -> m "wrote %s" path));
-    write_trace ~jobs:world.Pipeline.jobs common.trace_out;
-    match !failures with
-    | [] -> ()
-    | ms ->
-        List.iter (fun m -> Printf.eprintf "ct: %s: proof did not verify\n%!" m)
-          (List.rev ms);
-        exit 1
-  in
-  Cmd.v
-    (Cmd.info "ct"
-       ~doc:
-         "Build the CT log fleet over the Notary corpus, print the report's \
-          CT section, and emit/verify RFC 6962 proofs")
-    Term.(const run $ logs_term $ common_term $ sessions_arg $ leaves_arg
-          $ key_bits_arg $ prove_arg $ consistency_arg $ out_arg)
-
 let main_cmd =
   let doc = "Reproduction of 'A Tangled Mass: The Android Root Certificate Stores'" in
   Cmd.group
     (Cmd.info "tangled-mass" ~version:"1.0.0" ~doc)
     [ report_cmd; audit_cmd; export_cmd; ingest_cmd; chaos_cmd; serve_cmd;
-      sensitivity_cmd; scale_cmd; ct_cmd; stores_cmd ]
+      sensitivity_cmd; scale_cmd; stores_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

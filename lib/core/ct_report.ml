@@ -16,8 +16,6 @@ let compute (world : Pipeline.t) =
   in
   { fleet; rows = Fleet.official_visibility fleet }
 
-let fleet t = t.fleet
-
 let render t =
   let b = Buffer.create 4096 in
   let log_rows =

@@ -10,9 +10,6 @@ val compute : Pipeline.t -> t
 (** Build the log fleet ({!Tangled_ct.Fleet.build}, 3 logs) over the
     world's Notary corpus and tabulate per-store visibility. *)
 
-val fleet : t -> Tangled_ct.Fleet.t
-(** The underlying fleet — the CLI reuses it for proof emission. *)
-
 val render : t -> string
 (** Per-log fleet table + per-store visibility table + dark-root
     examples. *)

@@ -281,7 +281,6 @@ type 'a schema = {
   declared_field : string;  (** manifest control total *)
   of_json : J.t -> ('a, reason) result;
   identity : 'a -> string;
-  same : 'a -> 'a -> bool;
 }
 
 let snippet_of line =
@@ -360,7 +359,7 @@ let run schema input =
                       accepted := v :: !accepted;
                       Obs.incr accepted_counter;
                       incr n_accepted
-                  | Some prior when schema.same prior v ->
+                  | Some prior when prior = v ->
                       incr n_replays;
                       reject (Duplicate_record key)
                   | Some _ ->
@@ -434,7 +433,6 @@ let session_schema =
     declared_field = "exported_sessions";
     of_json = session_of_json;
     identity = (fun s -> string_of_int s.session_id);
-    same = (fun a b -> a = b);
   }
 
 let chain_schema =
@@ -442,7 +440,6 @@ let chain_schema =
     declared_field = "exported_chains";
     of_json = chain_of_json;
     identity = (fun c -> c.subject);
-    same = (fun a b -> a = b);
   }
 
 let cert_schema =
@@ -450,7 +447,6 @@ let cert_schema =
     declared_field = "total_certificates";
     of_json = cert_of_json;
     identity = (fun c -> c.store ^ "/" ^ c.fingerprint);
-    same = (fun a b -> a = b);
   }
 
 let sessions_of_string input = run session_schema input

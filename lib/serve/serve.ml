@@ -15,7 +15,6 @@ module Ingest = Tangled_ingest.Ingest
 module Obs = Tangled_obs.Obs
 module Cache = Tangled_cache.Cache
 module Ct_log = Tangled_ct.Log
-module Ct_proof = Tangled_ct.Proof
 module Fleet = Tangled_ct.Fleet
 
 (* v2 = v1 + the ct-* read ops.  Every v1 frame is still decoded and
@@ -102,27 +101,25 @@ let reconciled s =
 
 (* --- server state ------------------------------------------------------- *)
 
-module Arena = Tangled_x509.Arena
-module Interner = Tangled_engine.Interner
-
+(* What a reload changes: the epoch (which keys the decision cache) and
+   the store sizes and certificate count that [stores] reports.  Every
+   other op answers from the world the server was created with. *)
 type snapshot = {
   epoch : int;
   store_sizes : (string * int) list;
-  base : Arena.mark;  (** where this epoch's corpus starts in the arena *)
-  count : int;  (** certificates in this epoch's corpus *)
+  count : int;  (** certificates the store dump ingested *)
 }
+
+let snapshot_of ~epoch (r : Ingest.cert_view Ingest.ingest) =
+  {
+    epoch;
+    store_sizes = Ingest.store_sizes r;
+    count = r.Ingest.stats.Ingest.accepted;
+  }
 
 type t = {
   config : config;
   world : Pipeline.t;
-  corpus : Arena.t;
-      (** reloaded store corpora as arena epochs: the live epoch is the
-          window [snapshot.base, extent).  A reload appends
-          speculatively past the extent and either commits by
-          publishing the new window or vanishes via [Arena.truncate] —
-          a rejected reload retains nothing, immediately, rather than
-          waiting on the GC to collect a half-built boxed corpus. *)
-  store_names : Interner.t;  (** store name -> corpus column id *)
   fleet : Fleet.t option;
       (** the CT log fleet (v2's ct-* ops), built once at [create] from
           the world's seed — [None] when [ct_logs] is 0.  Logs are
@@ -154,48 +151,15 @@ type t = {
   mutable quarantine_rev : Ingest.quarantined list;
 }
 
-(* One arena row per ingested store certificate.  The record's payload
-   is its SHA-256 fingerprint (store dumps carry no DER); columns hold
-   the interned store name, the 32-bit hash id, the validity horizon
-   and the fingerprint's leading 64 bits. *)
-let append_corpus corpus store_names (r : Ingest.cert_view Ingest.ingest) =
-  Array.iter
-    (fun (v : Ingest.cert_view) ->
-      let fp =
-        match Hex.decode_opt v.Ingest.fingerprint with
-        | Some raw -> raw
-        | None -> v.Ingest.fingerprint
-      in
-      let key_fp =
-        if String.length fp >= 8 then String.get_int64_be fp 0 else 0L
-      in
-      let hash_id =
-        match int_of_string_opt ("0x" ^ v.Ingest.hash_id) with
-        | Some h -> h
-        | None -> -1
-      in
-      let (_ : int) =
-        Arena.append corpus ~der:fp
-          ~subject_id:(Interner.intern store_names v.Ingest.store)
-          ~issuer_id:hash_id ~anchor_id:(-1) ~not_before:0
-          ~not_after:v.Ingest.cert_not_after ~flags:0 ~key_fp
-      in
-      ())
-    r.Ingest.records
-
 let create ?(config = default_config) world =
   (* the epoch-1 snapshot is the world's own store dump, pushed through
      the same quarantining ingest path a reload would take *)
-  let r = Ingest.stores_of_string (Export.stores_jsonl world) in
-  let corpus = Arena.create () in
-  let store_names = Interner.create () in
-  let base = Arena.mark corpus in
-  append_corpus corpus store_names r;
+  let snapshot =
+    snapshot_of ~epoch:1 (Ingest.stores_of_string (Export.stores_jsonl world))
+  in
   {
     config;
     world;
-    corpus;
-    store_names;
     fleet =
       (if config.ct_logs > 0 then
          Some
@@ -209,13 +173,7 @@ let create ?(config = default_config) world =
            (Cache.create ~name:"serve.decisions"
               ~capacity:config.cache_capacity ())
        else None);
-    snapshot =
-      {
-        epoch = 1;
-        store_sizes = Ingest.store_sizes r;
-        base;
-        count = Array.length r.Ingest.records;
-      };
+    snapshot;
     draining = false;
     seq = 0;
     n_seen = 0;
@@ -622,7 +580,6 @@ let cache_json t =
         ]
 
 let exec_stores t : (J.t, string * string) result =
-  let m = Arena.memory t.corpus in
   Ok
     (J.Obj
        [
@@ -630,8 +587,6 @@ let exec_stores t : (J.t, string * string) result =
          ( "sizes",
            J.Obj (List.map (fun (s, n) -> (s, J.Int n)) t.snapshot.store_sizes) );
          ("corpus_certs", J.Int t.snapshot.count);
-         ( "corpus_bytes",
-           J.Int (m.Arena.blob_bytes - t.snapshot.base.Arena.m_bytes) );
          ("cache", cache_json t);
          ("ct", ct_json t);
        ])
@@ -659,21 +614,11 @@ let exec_health t : (J.t, string * string) result =
    field data.  It is accepted only when it reconciles perfectly:
    nothing quarantined, nothing missing, control total honoured.
    Anything less is a poisoned update — the last good snapshot keeps
-   answering and the attempt is recorded, never applied.
-
-   The ingested corpus is appended to the epoch arena {e speculatively}:
-   past the live epoch's extent, under a mark taken first.  Acceptance
-   publishes the appended window as the new epoch; rejection truncates
-   back to the mark, so a half-built corpus is reclaimed on the spot
-   (off-heap, deterministic) instead of lingering until the GC notices.
-   Readers of the live epoch are untouched either way — the committed
-   prefix of an append-only arena is immutable. *)
+   answering and the attempt is recorded, never applied. *)
 let exec_reload t deadline payload : (J.t, string * string) result =
   check_deadline t deadline;
   let r = Ingest.stores_of_string payload in
   let st = r.Ingest.stats in
-  let speculative = Arena.mark t.corpus in
-  append_corpus t.corpus t.store_names r;
   let clean =
     st.Ingest.quarantined_total = 0
     && st.Ingest.missing = 0
@@ -683,13 +628,7 @@ let exec_reload t deadline payload : (J.t, string * string) result =
     && st.Ingest.accepted > 0
   in
   if clean then begin
-    t.snapshot <-
-      {
-        epoch = t.snapshot.epoch + 1;
-        store_sizes = Ingest.store_sizes r;
-        base = speculative;
-        count = Array.length r.Ingest.records;
-      };
+    t.snapshot <- snapshot_of ~epoch:(t.snapshot.epoch + 1) r;
     t.n_reloads_accepted <- t.n_reloads_accepted + 1;
     Obs.event "serve.reload_accepted"
       ~fields:[ ("epoch", string_of_int t.snapshot.epoch) ];
@@ -701,7 +640,6 @@ let exec_reload t deadline payload : (J.t, string * string) result =
          ])
   end
   else begin
-    Arena.truncate t.corpus speculative;
     t.n_reloads_rejected <- t.n_reloads_rejected + 1;
     Obs.event "serve.reload_rejected"
       ~fields:
@@ -1014,24 +952,29 @@ let serve_channel t ic oc =
       take (max 1 t.config.batch) []
     end
   in
+  let emit responses =
+    List.iter
+      (fun r ->
+        output_string oc r;
+        output_char oc '\n')
+      responses;
+    flush oc
+  in
   let rec loop () =
     if not t.draining then begin
       match read_burst () with
       | [] -> t.draining <- true (* EOF: a clean drain *)
       | burst ->
-          List.iter
-            (fun r ->
-              output_string oc r;
-              output_char oc '\n')
-            (serve_burst t burst);
-          flush oc;
+          emit (serve_burst t burst);
           loop ()
     end
   in
   loop ();
-  output_string oc (J.to_string (summary_json t));
-  output_char oc '\n';
-  flush oc;
+  (* frames read past a drain's burst are refused, never dropped; no
+     more input is read, so a client that sends [drain] and waits still
+     gets its summary *)
+  emit (serve_burst t (List.of_seq (Queue.to_seq pending)));
+  emit [ J.to_string (summary_json t) ];
   summary t
 
 (* --- rendering ---------------------------------------------------------- *)

@@ -21,7 +21,9 @@
     - [coverage]: ["root"] (display name, bracketed hash id or
       equivalence key) — unexpired validated-chain count and traffic
       share of that root (Figure 3 online);
-    - [stores]: the current snapshot's store sizes (Table 1 online);
+    - [stores]: the current snapshot's epoch, store sizes and
+      certificate count (Table 1 online), with the decision-cache and
+      CT-log statistics;
     - [health]: liveness, epoch, queue and control-total counters;
     - [reload]: ["payload"] (a store-dump JSONL document) — attempt a
       snapshot update through the quarantining ingest layer;
@@ -66,14 +68,14 @@
       poisoned request and answer a typed error immediately.
     - {e Graceful degradation}: reads answer from the last good
       snapshot; a poisoned [reload] is rejected (typed
-      [update-rejected]) without touching it.  Snapshots are epochs of
-      an append-only {!Tangled_x509.Arena}: a reload appends its corpus
-      speculatively and either publishes the new window or truncates
-      back to the mark, so a rejected reload retains nothing — the
-      half-built corpus is reclaimed off-heap, immediately.
+      [update-rejected]) without touching it.  An accepted reload
+      changes the snapshot epoch (and with it the decision cache) and
+      the store sizes and certificate count [stores] reports; every
+      other op answers from the world the server was created with.
     - {e Graceful shutdown}: [drain] (or EOF) completes every admitted
-      request before the loop exits; late frames get a typed
-      [draining] response.
+      request before the loop exits; late frames, including those
+      already read past the drain's burst, get a typed [draining]
+      response.
 
     Everything is deterministic on one domain: batched execution, no
     concurrency, a pluggable clock — the single-CPU container's
@@ -199,7 +201,9 @@ val serve_burst : t -> string list -> string list
 val serve_channel : t -> in_channel -> out_channel -> summary
 (** The stdin/socket loop: take the complete frames already received,
     at most [batch], answer them, flush, repeat until EOF or a
-    processed [drain]; then emit a final summary frame and return the
-    totals.  It blocks only while no complete frame is pending, so an
-    interactive client that sends one frame and waits gets its answer.
-    EOF counts as a clean drain. *)
+    processed [drain].  Complete frames already read past a drain's
+    burst are then refused as [draining] (nothing more is read), and
+    a final summary frame is emitted; the totals are returned.  It
+    blocks only while no complete frame is pending, so an interactive
+    client that sends one frame (or a [drain]) and waits gets its
+    answer.  EOF counts as a clean drain. *)

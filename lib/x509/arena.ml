@@ -29,8 +29,6 @@ type t = {
   mutable n : int;
 }
 
-type mark = { m_count : int; m_bytes : int }
-
 type memory = {
   blob_bytes : int;
   column_bytes : int;
@@ -144,14 +142,6 @@ let der t h =
   Bytes.unsafe_to_string buf
 
 let decode t h = Certificate.decode (der t h)
-
-let mark t = { m_count = t.n; m_bytes = t.blob_len }
-
-let truncate t m =
-  if m.m_count > t.n || m.m_bytes > t.blob_len then
-    invalid_arg "Arena.truncate: mark beyond current extent";
-  t.n <- m.m_count;
-  t.blob_len <- m.m_bytes
 
 let memory t =
   {

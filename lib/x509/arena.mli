@@ -19,25 +19,14 @@
     cheap), and is dropped as soon as the caller is done with it.
     Both backing stores live outside the OCaml heap, so a 1.9 M-cert
     arena contributes two custom blocks to the GC, not 1.9 M records.
-
-    {2 Epochs}
-
-    The arena is append-only and single-writer.  {!mark} captures the
-    current extent; a reader holding a mark sees a stable prefix
-    whatever is appended afterwards (snapshot isolation for free), and
-    {!truncate} rolls the arena back to a mark — the mechanism behind
-    cheap snapshot epochs: speculative appends (a reload being
-    validated) either commit by publishing the new mark or vanish by
-    truncating to the old one, without copying the committed prefix
-    either way. *)
+    The arena is append-only and single-writer: a handle, once
+    returned, reads the same bytes and columns for the arena's
+    lifetime. *)
 
 type t
 
-type mark = { m_count : int; m_bytes : int }
-(** An arena extent: [m_count] certificates, [m_bytes] blob bytes. *)
-
 type memory = {
-  blob_bytes : int;  (** DER bytes appended (committed extent) *)
+  blob_bytes : int;  (** DER bytes appended *)
   column_bytes : int;  (** column rows in use, in bytes *)
   blob_capacity : int;  (** bytes reserved for the blob *)
   column_capacity : int;  (** bytes reserved for the columns *)
@@ -71,7 +60,7 @@ val append :
     ([-1] = absent). *)
 
 val length : t -> int
-(** Number of certificates appended (and not truncated away). *)
+(** Number of certificates appended. *)
 
 (** {2 Column reads} — O(1), no heap traffic beyond the result. *)
 
@@ -103,21 +92,15 @@ val decode : t -> int -> (Certificate.t, string) result
     result is a fresh value the caller should drop when done — the
     arena never caches it. *)
 
-(** {2 Epochs and accounting} *)
-
-val mark : t -> mark
-val truncate : t -> mark -> unit
-(** Roll back to a previous extent.  Raises [Invalid_argument] if the
-    mark lies beyond the current extent (marks never go stale in the
-    other direction: the committed prefix is immutable). *)
+(** {2 Accounting} *)
 
 val memory : t -> memory
 
 val bytes_per_cert : t -> float
-(** Committed (blob + column) bytes divided by {!length}; [0.] when
+(** Used (blob + column) bytes divided by {!length}; [0.] when
     empty. *)
 
 val digest : t -> string
-(** SHA-256 over the committed extent — blob bytes then column rows —
+(** SHA-256 over everything appended — blob bytes then column rows —
     a byte-identity fingerprint for determinism tests (raw 32-byte
     digest). *)

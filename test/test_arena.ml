@@ -1,7 +1,6 @@
 (* Tests for the columnar off-heap certificate arena: append/read
    round-trips (bytes and decoded views), column integrity under
-   growth, mark/truncate epoch semantics, memory accounting, and the
-   determinism digest. *)
+   growth, memory accounting, and the determinism digest. *)
 
 module Arena = Tangled_x509.Arena
 module C = Tangled_x509.Certificate
@@ -92,35 +91,6 @@ let test_growth_from_minimal_capacity () =
   done;
   Alcotest.(check bool) "bytes and columns survive growth" true !ok
 
-let test_mark_truncate_epochs () =
-  let pool = Lazy.force certs in
-  let a = Arena.create () in
-  for i = 0 to 2 do
-    ignore (append_cert a pool.(i))
-  done;
-  let committed = Arena.mark a in
-  let digest_before = Arena.digest a in
-  (* speculative epoch: appended, then rejected *)
-  ignore (append_cert a pool.(3));
-  ignore (append_cert a pool.(4));
-  Alcotest.(check int) "speculative appends visible" 5 (Arena.length a);
-  Arena.truncate a committed;
-  Alcotest.(check int) "truncate restores count" 3 (Arena.length a);
-  Alcotest.(check string) "truncate restores the exact bytes" digest_before
-    (Arena.digest a);
-  (* the committed prefix still reads correctly and new appends reuse
-     the truncated space *)
-  Alcotest.(check string) "prefix intact" pool.(2).C.raw (Arena.der a 2);
-  let h = append_cert a pool.(5) in
-  Alcotest.(check int) "append after truncate" 3 h;
-  Alcotest.(check string) "new epoch bytes" pool.(5).C.raw (Arena.der a 3);
-  (* a stale mark beyond the extent is refused *)
-  let stale = Arena.mark a in
-  Arena.truncate a committed;
-  Alcotest.check_raises "mark beyond extent"
-    (Invalid_argument "Arena.truncate: mark beyond current extent") (fun () ->
-      Arena.truncate a stale)
-
 let test_memory_accounting () =
   let pool = Lazy.force certs in
   let a = Arena.create () in
@@ -183,7 +153,6 @@ let suite =
     Alcotest.test_case "columns and flags" `Quick test_columns_and_flags;
     Alcotest.test_case "growth from minimal capacity" `Quick
       test_growth_from_minimal_capacity;
-    Alcotest.test_case "mark/truncate epochs" `Quick test_mark_truncate_epochs;
     Alcotest.test_case "memory accounting" `Quick test_memory_accounting;
     qtest prop_blob_round_trip;
     Alcotest.test_case "digest covers columns" `Quick test_digest_covers_columns;

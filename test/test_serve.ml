@@ -290,10 +290,9 @@ let test_reload_good_and_poisoned () =
   check Alcotest.int "epoch unchanged" 2 s.Serve.epoch;
   check Alcotest.int "one accepted" 1 s.Serve.reloads_accepted;
   check Alcotest.int "one rejected" 1 s.Serve.reloads_rejected;
-  (* reads still answer from the surviving snapshot, and the rejected
-     reload's half-built corpus was truncated out of the epoch arena:
-     the corpus accounting matches the surviving epoch exactly *)
-  let corpus_stats () =
+  (* reads still answer from the surviving snapshot: the certificate
+     count and per-store sizes [stores] reports are its own *)
+  let snapshot_stats () =
     match
       Serve.serve_burst t [ frame [ ("id", J.Int 3); ("op", J.String "stores") ] ]
     with
@@ -304,27 +303,32 @@ let test_reload_good_and_poisoned () =
         | Ok json -> (
             match J.member "result" json with
             | Some result -> (
-                match
-                  ( J.member "corpus_certs" result,
-                    J.member "corpus_bytes" result )
-                with
-                | Some (J.Int c), Some (J.Int b) -> (c, b)
-                | _ -> Alcotest.fail "stores response lacks corpus accounting")
+                match (J.member "corpus_certs" result, J.member "sizes" result) with
+                | Some (J.Int c), Some (J.Obj sizes) ->
+                    ( c,
+                      List.map
+                        (function
+                          | store, J.Int n -> (store, n)
+                          | store, _ -> Alcotest.failf "size of %s is not an int" store)
+                        sizes )
+                | _ -> Alcotest.fail "stores response lacks the snapshot's sizes")
             | None -> Alcotest.fail "stores response lacks a result")
         | Error e -> Alcotest.fail e)
     | _ -> Alcotest.fail "expected one response"
   in
-  let certs, bytes = corpus_stats () in
-  check Alcotest.bool "epoch corpus non-empty" true (certs > 0 && bytes > 0);
-  (* another poisoned attempt must leave the accounting byte-identical *)
+  let certs, sizes = snapshot_stats () in
+  check Alcotest.bool "snapshot non-empty" true (certs > 0 && sizes <> []);
+  check Alcotest.int "store sizes sum to the certificate count" certs
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 sizes);
+  let same_snapshot = Alcotest.(pair int (list (pair string int))) in
+  (* another poisoned attempt must leave the snapshot unchanged *)
   (match Serve.serve_burst t [ reload 4 poisoned ] with
   | [ r ] ->
       check (Alcotest.option Alcotest.string) "second poison rejected"
         (Some "update-rejected") (error_label r)
   | _ -> Alcotest.fail "expected one response");
-  check
-    Alcotest.(pair int int)
-    "rejected reload retains nothing" (certs, bytes) (corpus_stats ());
+  check same_snapshot "rejected reload changes nothing" (certs, sizes)
+    (snapshot_stats ());
   (* a header-only dump is rejected too: the export's own manifest
      line (every declared certificate missing), and a manifest that
      declares zero, which reconciles but would serve no store *)
@@ -338,9 +342,8 @@ let test_reload_good_and_poisoned () =
       | _ -> Alcotest.fail "expected one response");
       check Alcotest.int "header-only: epoch unchanged" 2 (Serve.summary t).Serve.epoch)
     [ manifest; "{\"kind\":\"stores\",\"total_certificates\":0}\n" ];
-  check
-    Alcotest.(pair int int)
-    "header-only reloads retain nothing" (certs, bytes) (corpus_stats ())
+  check same_snapshot "header-only reloads change nothing" (certs, sizes)
+    (snapshot_stats ())
 
 (* --- unit: the request-level decision cache ---------------------------- *)
 
@@ -504,8 +507,8 @@ let test_warm_replay_from_cache () =
   check Alcotest.int "no chain verifications" 0 (v1 - v0)
 
 (* a rejected reload must leave every observable — snapshot epoch,
-   corpus accounting, cached decisions and their counters — exactly as
-   it found them: the cache epoch rolls on accepted reloads only *)
+   store sizes and count, cached decisions and their counters — exactly
+   as it found them: the cache epoch rolls on accepted reloads only *)
 let test_rejected_reload_preserves_cache () =
   let doc = Export.stores_jsonl (world ()) in
   let config = { Serve.default_config with Serve.max_frame_bytes = 1 lsl 23 } in
@@ -537,7 +540,7 @@ let test_rejected_reload_preserves_cache () =
       check (Alcotest.option Alcotest.string) "reload rejected"
         (Some "update-rejected") (error_label r)
   | _ -> Alcotest.fail "expected one response");
-  (* the whole stores response — epoch, sizes, corpus accounting and
+  (* the whole stores response — epoch, sizes, certificate count and
      cache statistics — is byte-identical to before the attempt *)
   check Alcotest.string "stores response byte-identical" before
     (stores_response t);
@@ -582,34 +585,54 @@ let test_drain_completes_in_flight () =
       check Alcotest.bool "reconciled" true (Serve.reconciled s)
   | _ -> Alcotest.fail "expected two responses"
 
-let test_serve_channel_eof_drains () =
+(* [serve_channel] over a file of [frames]: its totals and every line
+   it wrote *)
+let serve_file frames =
   let path = Filename.temp_file "serve_test" ".jsonl" in
-  Export.write_text path (String.concat "\n" [ health 1; health 2 ] ^ "\n");
-  let ic = open_in path in
+  Export.write_text path (String.concat "\n" frames ^ "\n");
   let out_path = Filename.temp_file "serve_test" ".out" in
-  let oc = open_out out_path in
-  let t = server () in
-  let s = Serve.serve_channel t ic oc in
+  let ic = open_in path and oc = open_out out_path in
+  let s = Serve.serve_channel (server ()) ic oc in
   close_in ic;
   close_out oc;
+  let out = In_channel.with_open_bin out_path In_channel.input_all in
+  Sys.remove path;
+  Sys.remove out_path;
+  (s, List.filter (fun l -> l <> "") (String.split_on_char '\n' out))
+
+let test_serve_channel_eof_drains () =
+  let s, lines = serve_file [ health 1; health 2 ] in
   check Alcotest.int "both served" 2 s.Serve.seen;
   check Alcotest.int "both answered" 2 s.Serve.answered;
   check Alcotest.bool "EOF drained" true s.Serve.drained;
   check Alcotest.bool "reconciled" true (Serve.reconciled s);
   (* the stream ends with the summary frame *)
-  let lines = ref [] in
-  let ic = open_in out_path in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  check Alcotest.int "two responses + summary" 3 (List.length !lines);
+  check Alcotest.int "two responses + summary" 3 (List.length lines);
   check (Alcotest.option Alcotest.string) "summary frame last"
-    (Some "summary") (status_of (List.hd !lines));
-  Sys.remove path;
-  Sys.remove out_path
+    (Some "summary") (status_of (List.nth lines 2))
+
+(* A drain and 40 more frames arrive in one read.  The first 32-frame
+   burst (the drain and 31 frames in flight with it) is answered; the
+   9 frames already read past it are refused as draining, not dropped,
+   before the summary. *)
+let test_serve_channel_drain_refuses_queued () =
+  let s, lines =
+    serve_file
+      (frame [ ("id", J.Int 0); ("op", J.String "drain") ]
+      :: List.init 40 (fun i -> health (i + 1)))
+  in
+  check Alcotest.int "41 responses + summary" 42 (List.length lines);
+  check
+    Alcotest.(list (option string))
+    "in flight answered, queued refused, then the summary"
+    (List.init 32 (fun _ -> Some "ok")
+    @ List.init 9 (fun _ -> Some "draining")
+    @ [ Some "summary" ])
+    (List.map status_of lines);
+  check Alcotest.int "every frame seen" 41 s.Serve.seen;
+  check Alcotest.int "queued frames refused" 9 s.Serve.refused;
+  check Alcotest.bool "drained" true s.Serve.drained;
+  check Alcotest.bool "reconciled" true (Serve.reconciled s)
 
 (* An interactive client over a pipe: each frame must be answered while
    the pipe stays open, not after [batch] frames or EOF pile up.  Two
@@ -965,6 +988,80 @@ let test_ct_proofs_cached () =
   let after = cache_int (stores_response t) "hits" in
   check Alcotest.bool "proof served from cache" true (after > before)
 
+(* Serve is the only source of proofs for the heads [report ct] prints,
+   so its fleet must be the report's: the same visibility rows for the
+   six official stores, and per-log heads equal to the fleet
+   [Ct_report.compute] builds from the world's seed. *)
+let test_ct_fleet_is_reported () =
+  let module BP = Tangled_pki.Blueprint in
+  let module Rs = Tangled_store.Root_store in
+  let module Fleet = Tangled_ct.Fleet in
+  let module Ct = Tangled_ct.Log in
+  let module Ct_report = Tangled_core.Ct_report in
+  let w = world () in
+  let t = server () in
+  let _, rows = Ct_report.csv (Ct_report.compute w) in
+  let shorts = [ "aosp41"; "aosp42"; "aosp43"; "aosp44"; "mozilla"; "ios7" ] in
+  check Alcotest.int "one report row per official store" (List.length shorts)
+    (List.length rows);
+  List.iteri
+    (fun i short ->
+      (* serve takes short names, the report's CSV display names *)
+      let display =
+        match BP.store_of_name w.Pipeline.universe short with
+        | Some store -> Rs.name store
+        | None -> Alcotest.failf "no official store %s" short
+      in
+      let row =
+        match List.find_opt (fun r -> List.hd r = display) rows with
+        | Some (_ :: roots :: accepted :: logged :: dark :: _) ->
+            [ roots; accepted; logged; dark ]
+        | _ -> Alcotest.failf "no report row for %s" display
+      in
+      match
+        Serve.serve_burst t
+          [ frame [ ("id", J.Int i); ("op", J.String "ct-visibility");
+                    ("store", J.String short) ] ]
+      with
+      | [ r ] ->
+          let result = result_member r in
+          check
+            Alcotest.(list string)
+            (short ^ " row matches the report") row
+            (List.map
+               (fun f -> string_of_int (result_int result f))
+               [ "roots"; "accepted"; "logged"; "dark" ])
+      | _ -> Alcotest.fail "expected one response")
+    shorts;
+  let fleet =
+    Fleet.build ~seed:w.Pipeline.config.Pipeline.seed w.Pipeline.universe
+      w.Pipeline.notary
+  in
+  let heads =
+    match Serve.serve_burst t [ health 7 ] with
+    | [ r ] -> (
+        match Option.bind (J.member "ct" (result_member r)) (J.member "logs") with
+        | Some (J.List logs) ->
+            List.map
+              (fun l ->
+                match (J.member "log" l, J.member "tree_size" l, J.member "head" l) with
+                | Some (J.String name), Some (J.Int size), Some (J.String head) ->
+                    (name, size, head)
+                | _ -> Alcotest.fail "log entry lacks log/tree_size/head")
+              logs
+        | _ -> Alcotest.fail "health lacks ct logs")
+    | _ -> Alcotest.fail "expected one response"
+  in
+  check
+    Alcotest.(list (triple string int string))
+    "served heads are the report fleet's"
+    (Array.to_list
+       (Array.map
+          (fun (e : Fleet.entry) ->
+            (Ct.name e.Fleet.log, Ct.size e.Fleet.log, Ct.head_hex e.Fleet.log))
+          (Fleet.entries fleet)))
+    heads
+
 (* --- the composed drill at a pinned seed ------------------------------- *)
 
 let test_drill_pinned_seed () =
@@ -1021,4 +1118,8 @@ let suite =
       test_ct_proofs_cached;
     qtest prop_serve_total;
     qtest prop_malformed_quarantined;
+    Alcotest.test_case "serve_channel refuses frames queued past a drain"
+      `Quick test_serve_channel_drain_refuses_queued;
+    Alcotest.test_case "v2: the served CT fleet is the reported one" `Quick
+      test_ct_fleet_is_reported;
   ]
