@@ -392,12 +392,13 @@ let serve_cmd =
   in
   let deadline_arg =
     let doc = "Default per-request deadline in milliseconds." in
-    Arg.(value & opt int 250 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+    Arg.(value & opt int Serve.default_config.Serve.default_deadline_ms
+         & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in
   let cache_arg =
     let doc =
       "Request-level decision-cache capacity (0 disables caching); \
-       validate/diff/coverage answers are cached per snapshot epoch."
+       validate/diff/coverage/ct-* answers are cached per snapshot epoch."
     in
     Arg.(value & opt int Serve.default_config.Serve.cache_capacity
          & info [ "cache-capacity" ] ~docv:"N" ~doc)
@@ -420,7 +421,7 @@ let serve_cmd =
           Serve.default_config with
           Serve.queue_capacity;
           batch;
-          default_deadline_s = float_of_int deadline_ms /. 1000.0;
+          default_deadline_ms = deadline_ms;
           cache_capacity;
         }
       in

@@ -47,14 +47,12 @@ let latency_of_class =
 type config = {
   queue_capacity : int;
   batch : int;
-  default_deadline_s : float;
+  default_deadline_ms : int;
   max_retries : int;
   backoff_s : float;
   max_frame_bytes : int;
   cache_capacity : int;
-  ct_logs : int;
   clock : unit -> float;
-  sleep : float -> unit;
   fault_hook : seq:int -> attempt:int -> Fault.kind option;
 }
 
@@ -62,17 +60,12 @@ let default_config =
   {
     queue_capacity = 64;
     batch = 32;
-    default_deadline_s = 0.25;
+    default_deadline_ms = 250;
     max_retries = 3;
     backoff_s = 0.001;
     max_frame_bytes = 1 lsl 20;
     cache_capacity = 16384;
-    ct_logs = 3;
     clock = Unix.gettimeofday;
-    (* the loop is single-domain: blocking on a backoff would stall
-       every queued request, so the default records the wait without
-       taking it.  A multi-writer deployment would plug a real sleep. *)
-    sleep = (fun _ -> ());
     fault_hook = (fun ~seq:_ ~attempt:_ -> None);
   }
 
@@ -101,122 +94,84 @@ let reconciled s =
 
 (* --- server state ------------------------------------------------------- *)
 
-(* What a reload changes: the epoch (which keys the decision cache) and
-   the store sizes and certificate count that [stores] reports.  Every
-   other op answers from the world the server was created with. *)
+(* What a reload changes besides the epoch: the store sizes and
+   certificate count that [stores] reports.  Every other op answers
+   from the world the server was created with. *)
 type snapshot = {
-  epoch : int;
   store_sizes : (string * int) list;
   count : int;  (** certificates the store dump ingested *)
 }
 
-let snapshot_of ~epoch (r : Ingest.cert_view Ingest.ingest) =
-  {
-    epoch;
-    store_sizes = Ingest.store_sizes r;
-    count = r.Ingest.stats.Ingest.accepted;
-  }
+let snapshot_of (r : Ingest.cert_view Ingest.ingest) =
+  { store_sizes = Ingest.store_sizes r; count = r.Ingest.stats.Ingest.accepted }
 
 type t = {
   config : config;
   world : Pipeline.t;
-  fleet : Fleet.t option;
+  fleet : Fleet.t;
       (** the CT log fleet (v2's ct-* ops), built once at [create] from
-          the world's seed — [None] when [ct_logs] is 0.  Logs are
+          the world's seed as [Ct_report.compute] builds it.  Logs are
           append-only and no serve op mutates them, so every ct-* op is
           a pure read against a fixed structure. *)
   cache : J.t Cache.t option;
       (** request-level decision cache (lib/cache CLOCK), keyed by
-          (op, canonical request parameters) and epoch-stamped with the
-          snapshot epoch.  Only pure reads against the snapshot are
-          cached — [validate], [diff] and [coverage] — and only their
-          [ok] results; typed errors and timeouts always re-execute.
-          The cache epoch rolls on {e accepted} reloads only: a
-          rejected reload leaves the snapshot — and therefore every
-          cached decision — untouched, so its entries and counters stay
-          byte-identical.  [None] when [cache_capacity] is 0. *)
+          (op, canonical request parameters) and stamped with the
+          snapshot epoch where that epoch changes: at [create] and on an
+          accepted reload.  Only the pure reads are cached — [validate],
+          [diff], [coverage] and the ct-* ops — and only their [ok]
+          results; typed errors and timeouts always re-execute.  A
+          rejected reload leaves the epoch, and so every cached decision
+          and counter, untouched.  [None] when [cache_capacity] is 0. *)
   mutable snapshot : snapshot;
-  mutable draining : bool;
+  mutable totals : summary;
   mutable seq : int;  (* admitted-request ordinal, drives the fault hook *)
-  mutable n_seen : int;
-  mutable n_answered : int;
-  mutable n_typed_errors : int;
-  mutable n_timed_out : int;
-  mutable n_shed : int;
-  mutable n_refused : int;
-  mutable n_retries : int;
-  mutable backoff_total : float;
-  mutable n_reloads_accepted : int;
-  mutable n_reloads_rejected : int;
   mutable quarantine_rev : Ingest.quarantined list;
 }
 
 let create ?(config = default_config) world =
-  (* the epoch-1 snapshot is the world's own store dump, pushed through
-     the same quarantining ingest path a reload would take *)
-  let snapshot =
-    snapshot_of ~epoch:1 (Ingest.stores_of_string (Export.stores_jsonl world))
+  let cache =
+    if config.cache_capacity > 0 then begin
+      let c = Cache.create ~name:"serve.decisions" ~capacity:config.cache_capacity () in
+      Cache.set_epoch c 1;
+      Some c
+    end
+    else None
   in
   {
     config;
     world;
     fleet =
-      (if config.ct_logs > 0 then
-         Some
-           (Fleet.build ~n_logs:config.ct_logs
-              ~seed:world.Pipeline.config.Pipeline.seed
-              world.Pipeline.universe world.Pipeline.notary)
-       else None);
-    cache =
-      (if config.cache_capacity > 0 then
-         Some
-           (Cache.create ~name:"serve.decisions"
-              ~capacity:config.cache_capacity ())
-       else None);
-    snapshot;
-    draining = false;
+      Fleet.build ~seed:world.Pipeline.config.Pipeline.seed
+        world.Pipeline.universe world.Pipeline.notary;
+    cache;
+    (* the epoch-1 snapshot is the world's own store dump, pushed through
+       the same quarantining ingest path a reload would take *)
+    snapshot = snapshot_of (Ingest.stores_of_string (Export.stores_jsonl world));
+    totals =
+      {
+        seen = 0;
+        answered = 0;
+        typed_errors = 0;
+        timed_out = 0;
+        shed = 0;
+        refused = 0;
+        quarantined = 0;
+        retries = 0;
+        backoff_s_total = 0.0;
+        reloads_accepted = 0;
+        reloads_rejected = 0;
+        epoch = 1;
+        drained = false;
+      };
     seq = 0;
-    n_seen = 0;
-    n_answered = 0;
-    n_typed_errors = 0;
-    n_timed_out = 0;
-    n_shed = 0;
-    n_refused = 0;
-    n_retries = 0;
-    backoff_total = 0.0;
-    n_reloads_accepted = 0;
-    n_reloads_rejected = 0;
     quarantine_rev = [];
   }
 
-let draining t = t.draining
+let summary t = t.totals
+let draining t = t.totals.drained
 let quarantine t = List.rev t.quarantine_rev
-let ct_fleet t = t.fleet
-
-let cache_stats t =
-  Option.map
-    (fun c ->
-      (* sync first so the entry count is the live snapshot epoch's *)
-      Cache.set_epoch c t.snapshot.epoch;
-      Cache.stats c)
-    t.cache
-
-let summary t =
-  {
-    seen = t.n_seen;
-    answered = t.n_answered;
-    typed_errors = t.n_typed_errors;
-    timed_out = t.n_timed_out;
-    shed = t.n_shed;
-    refused = t.n_refused;
-    quarantined = List.length t.quarantine_rev;
-    retries = t.n_retries;
-    backoff_s_total = t.backoff_total;
-    reloads_accepted = t.n_reloads_accepted;
-    reloads_rejected = t.n_reloads_rejected;
-    epoch = t.snapshot.epoch;
-    drained = t.draining;
-  }
+let ct_fleet t = Some t.fleet
+let cache_stats t = Option.map Cache.stats t.cache
 
 (* --- frames ------------------------------------------------------------- *)
 
@@ -241,7 +196,7 @@ let class_of_op = function
   | Reload _ | Drain -> "admin"
   | Ct_inclusion _ | Ct_consistency _ | Ct_visibility _ -> "ct"
 
-type frame = { id : J.t; op : op; deadline_s : float option }
+type frame = { id : J.t; op : op; deadline_ms : int option }
 
 let ( let* ) = Result.bind
 
@@ -276,10 +231,10 @@ let decode_frame ~max_frame_bytes line : (frame, Ingest.reason) result =
           | Some _ -> Error (Ingest.Type_mismatch "id")
           | None -> Error (Ingest.Missing_field "id")
         in
-        let* deadline_s =
+        let* deadline_ms =
           match J.member "deadline_ms" json with
           | None -> Ok None
-          | Some (J.Int ms) when ms >= 0 -> Ok (Some (float_of_int ms /. 1000.0))
+          | Some (J.Int ms) when ms >= 0 -> Ok (Some ms)
           | Some (J.Int _) -> Error (Ingest.Bad_value "deadline_ms is negative")
           | Some _ -> Error (Ingest.Type_mismatch "deadline_ms")
         in
@@ -323,7 +278,7 @@ let decode_frame ~max_frame_bytes line : (frame, Ingest.reason) result =
               Ok (Ct_visibility { store })
           | other -> Error (Ingest.Bad_value ("unknown op " ^ other))
         in
-        Ok { id; op; deadline_s }
+        Ok { id; op; deadline_ms }
     | Ok _ -> Error (Ingest.Bad_value "frame is not a JSON object")
 
 (* --- responses ---------------------------------------------------------- *)
@@ -332,12 +287,8 @@ let respond t ~id ~status extra =
   J.to_string
     (J.Obj
        ([ ("id", id); ("status", J.String status);
-          ("epoch", J.Int t.snapshot.epoch) ]
+          ("epoch", J.Int t.totals.epoch) ]
        @ extra))
-
-let error_response t ~id ~label ~detail =
-  respond t ~id ~status:"error"
-    [ ("error", J.Obj [ ("label", J.String label); ("detail", J.String detail) ]) ]
 
 (* --- op execution ------------------------------------------------------- *)
 
@@ -458,16 +409,13 @@ let exec_coverage t deadline name : (J.t, string * string) result =
 let hex_list hashes = J.List (List.map (fun h -> J.String (Hex.encode h)) hashes)
 
 let find_ct_log t name =
-  match t.fleet with
-  | None -> Error ("unknown-log", "ct logs are disabled on this server")
-  | Some fleet -> (
-      match Fleet.find_log fleet name with
-      | Some e -> Ok e
-      | None ->
-          Error
-            ( "unknown-log",
-              Printf.sprintf "no log named %s (fleet: ct0..ct%d)" name
-                (Fleet.n_logs fleet - 1) ))
+  match Fleet.find_log t.fleet name with
+  | Some e -> Ok e
+  | None ->
+      Error
+        ( "unknown-log",
+          Printf.sprintf "no log named %s (fleet: ct0..ct%d)" name
+            (Fleet.n_logs t.fleet - 1) )
 
 let exec_ct_inclusion t deadline log_name index tree_size :
     (J.t, string * string) result =
@@ -513,48 +461,44 @@ let exec_ct_consistency t deadline log_name first second :
            ])
 
 let exec_ct_visibility t deadline store_name : (J.t, string * string) result =
-  match t.fleet with
-  | None -> Error ("unknown-log", "ct logs are disabled on this server")
-  | Some fleet -> (
-      match resolve_store t store_name with
-      | None -> Error ("unknown-store", store_name)
-      | Some store ->
-          check_deadline t deadline;
-          let r = Fleet.store_visibility fleet store_name store in
-          Ok
-            (J.Obj
-               [
-                 ("store", J.String store_name);
-                 ("roots", J.Int r.Fleet.roots);
-                 ("accepted", J.Int r.Fleet.accepted);
-                 ("logged", J.Int r.Fleet.logged);
-                 ("dark", J.Int r.Fleet.dark);
-                 ( "dark_names",
-                   J.List (List.map (fun n -> J.String n) r.Fleet.dark_names) );
-               ]))
+  match resolve_store t store_name with
+  | None -> Error ("unknown-store", store_name)
+  | Some store ->
+      check_deadline t deadline;
+      let r = Fleet.store_visibility t.fleet store_name store in
+      Ok
+        (J.Obj
+           [
+             ("store", J.String store_name);
+             ("roots", J.Int r.Fleet.roots);
+             ("accepted", J.Int r.Fleet.accepted);
+             ("logged", J.Int r.Fleet.logged);
+             ("dark", J.Int r.Fleet.dark);
+             ( "dark_names",
+               J.List (List.map (fun n -> J.String n) r.Fleet.dark_names) );
+           ])
 
-(* per-log tree size and head, embedded in [stores] and [health] *)
+(* per-log tree size and head, embedded in [stores] and [health]; the
+   fleet is always built, and [enabled] stays for v2 clients that read
+   it *)
 let ct_json t =
-  match t.fleet with
-  | None -> J.Obj [ ("enabled", J.Bool false) ]
-  | Some fleet ->
-      J.Obj
-        [
-          ("enabled", J.Bool true);
-          ( "logs",
-            J.List
-              (Array.to_list
-                 (Array.map
-                    (fun (e : Fleet.entry) ->
-                      J.Obj
-                        [
-                          ("log", J.String (Ct_log.name e.Fleet.log));
-                          ("tree_size", J.Int (Ct_log.size e.Fleet.log));
-                          ("head", J.String (Ct_log.head_hex e.Fleet.log));
-                          ("accepted_roots", J.Int e.Fleet.accepted_roots);
-                        ])
-                    (Fleet.entries fleet))) );
-        ]
+  J.Obj
+    [
+      ("enabled", J.Bool true);
+      ( "logs",
+        J.List
+          (Array.to_list
+             (Array.map
+                (fun (e : Fleet.entry) ->
+                  J.Obj
+                    [
+                      ("log", J.String (Ct_log.name e.Fleet.log));
+                      ("tree_size", J.Int (Ct_log.size e.Fleet.log));
+                      ("head", J.String (Ct_log.head_hex e.Fleet.log));
+                      ("accepted_roots", J.Int e.Fleet.accepted_roots);
+                    ])
+                (Fleet.entries t.fleet))) );
+    ]
 
 (* decision-cache introspection, embedded in [stores] and [health]
    responses.  hits/misses/evictions are the process-global Obs
@@ -564,9 +508,6 @@ let cache_json t =
   match t.cache with
   | None -> J.Obj [ ("enabled", J.Bool false) ]
   | Some c ->
-      (* sync to the snapshot epoch first so the reported entry count
-         is the live epoch's, even before the next cacheable op *)
-      Cache.set_epoch c t.snapshot.epoch;
       let s = Cache.stats c in
       J.Obj
         [
@@ -583,7 +524,7 @@ let exec_stores t : (J.t, string * string) result =
   Ok
     (J.Obj
        [
-         ("snapshot_epoch", J.Int t.snapshot.epoch);
+         ("snapshot_epoch", J.Int t.totals.epoch);
          ( "sizes",
            J.Obj (List.map (fun (s, n) -> (s, J.Int n)) t.snapshot.store_sizes) );
          ("corpus_certs", J.Int t.snapshot.count);
@@ -591,13 +532,17 @@ let exec_stores t : (J.t, string * string) result =
          ("ct", ct_json t);
        ])
 
+(* the counters cover the frames closed before this one, so they
+   always reconcile: [refused] stays 0 while a [health] can still run,
+   since only the bursts after a drain are refused and they run
+   nothing *)
 let exec_health t : (J.t, string * string) result =
-  let s = summary t in
+  let s = t.totals in
   Ok
     (J.Obj
        [
          ("protocol", J.String protocol_version);
-         ("draining", J.Bool t.draining);
+         ("draining", J.Bool s.drained);
          ("queue_capacity", J.Int t.config.queue_capacity);
          ("seen", J.Int s.seen);
          ("answered", J.Int s.answered);
@@ -627,20 +572,23 @@ let exec_reload t deadline payload : (J.t, string * string) result =
        | None -> false)
     && st.Ingest.accepted > 0
   in
+  let s = t.totals in
   if clean then begin
-    t.snapshot <- snapshot_of ~epoch:(t.snapshot.epoch + 1) r;
-    t.n_reloads_accepted <- t.n_reloads_accepted + 1;
-    Obs.event "serve.reload_accepted"
-      ~fields:[ ("epoch", string_of_int t.snapshot.epoch) ];
+    let epoch = s.epoch + 1 in
+    t.snapshot <- snapshot_of r;
+    t.totals <- { s with epoch; reloads_accepted = s.reloads_accepted + 1 };
+    (* the one place the epoch moves after [create]: roll the cache *)
+    Option.iter (fun c -> Cache.set_epoch c epoch) t.cache;
+    Obs.event "serve.reload_accepted" ~fields:[ ("epoch", string_of_int epoch) ];
     Ok
       (J.Obj
          [
-           ("snapshot_epoch", J.Int t.snapshot.epoch);
+           ("snapshot_epoch", J.Int epoch);
            ("certificates", J.Int st.Ingest.accepted);
          ])
   end
   else begin
-    t.n_reloads_rejected <- t.n_reloads_rejected + 1;
+    t.totals <- { s with reloads_rejected = s.reloads_rejected + 1 };
     Obs.event "serve.reload_rejected"
       ~fields:
         [
@@ -652,7 +600,7 @@ let exec_reload t deadline payload : (J.t, string * string) result =
         Printf.sprintf
           "snapshot update quarantined %d record(s), %d missing — serving \
            epoch %d unchanged"
-          st.Ingest.quarantined_total st.Ingest.missing t.snapshot.epoch )
+          st.Ingest.quarantined_total st.Ingest.missing s.epoch )
   end
 
 let exec_uncached t deadline = function
@@ -663,7 +611,7 @@ let exec_uncached t deadline = function
   | Health -> exec_health t
   | Reload { payload } -> exec_reload t deadline payload
   | Drain ->
-      t.draining <- true;
+      t.totals <- { t.totals with drained = true };
       Obs.event "serve.draining";
       Ok (J.Obj [ ("draining", J.Bool true) ])
   | Ct_inclusion { log; index; tree_size } ->
@@ -672,10 +620,11 @@ let exec_uncached t deadline = function
       exec_ct_consistency t deadline log first second
   | Ct_visibility { store } -> exec_ct_visibility t deadline store
 
-(* Cacheable ops are the pure reads whose answer is a function of
-   (snapshot, request parameters) alone: validate, diff, coverage.
-   [stores]/[health] report live counters, [reload]/[drain] mutate —
-   none of those may be replayed.  The key is a SHA-256 over the op
+(* Cacheable ops are the pure reads whose answer is a function of the
+   request parameters alone: validate, diff, coverage and the ct-* ops
+   (the fleet is append-only and no op appends).  [stores]/[health]
+   report live counters, [reload]/[drain] mutate — none of those may be
+   replayed.  The key is a SHA-256 over the op
    tag and its NUL-delimited parameters: fixed 32 bytes resident per
    entry however long the chain hex runs. *)
 let cache_key_of_op = function
@@ -684,9 +633,6 @@ let cache_key_of_op = function
   | Diff { store; baseline } ->
       Some (String.concat "\x00" [ "diff"; store; baseline ])
   | Coverage { root } -> Some (String.concat "\x00" [ "coverage"; root ])
-  (* the ct ops are pure reads against the append-only fleet; their
-     keys still carry the snapshot epoch (via the cache's epoch stamp)
-     like every other cached decision *)
   | Ct_inclusion { log; index; tree_size } ->
       Some
         (String.concat "\x00"
@@ -706,11 +652,6 @@ let exec_op t deadline op =
   match (t.cache, cache_key_of_op op) with
   | None, _ | _, None -> exec_uncached t deadline op
   | Some cache, Some raw_key -> (
-      (* the snapshot epoch only advances in [exec_reload]'s accepted
-         branch, so stamping it here rolls the cache epoch on accepted
-         reloads exactly — a rejected reload finds the same epoch and
-         every cached decision still live *)
-      Cache.set_epoch cache t.snapshot.epoch;
       let key = Tangled_hash.Sha256.digest raw_key in
       match Cache.find cache key with
       | Some result -> Ok result
@@ -721,172 +662,160 @@ let exec_op t deadline op =
               r
           | Error _ as e -> e))
 
+(* --- closing a frame ------------------------------------------------------ *)
+
+(* How a frame ends: every path of [serve_burst] ends in exactly one of
+   these, and [close] is the only place that counts it. *)
+type terminal =
+  | Answered of J.t  (** the op's result *)
+  | Typed_error of string * string  (** label, detail *)
+  | Timed_out of int  (** the frame's deadline in ms *)
+  | Quarantined of Ingest.reason * string * string
+      (** the recorded reason; the answered label and detail *)
+  | Shed
+  | Refused
+
+(* Count the frame as seen and in its one terminal class, bump that
+   class's Obs counter, and render its response.  A quarantine record's
+   [line] is the running [seen]: the frame's 1-based ordinal. *)
+let close t ~id ~line terminal =
+  let s = { t.totals with seen = t.totals.seen + 1 } in
+  let error label detail =
+    [ ("error", J.Obj [ ("label", J.String label); ("detail", J.String detail) ]) ]
+  in
+  let counter, totals, status, extra =
+    match terminal with
+    | Answered result ->
+        (c_answered, { s with answered = s.answered + 1 }, "ok", [ ("result", result) ])
+    | Typed_error (label, detail) ->
+        (c_errors, { s with typed_errors = s.typed_errors + 1 }, "error", error label detail)
+    | Timed_out ms ->
+        (c_timeouts, { s with timed_out = s.timed_out + 1 }, "timeout",
+         [ ("deadline_ms", J.Int ms) ])
+    | Quarantined (reason, label, detail) ->
+        Obs.event "serve.quarantine"
+          ~fields:
+            [ ("label", Ingest.reason_label reason); ("frame", string_of_int s.seen) ];
+        t.quarantine_rev <-
+          { Ingest.line = s.seen; reason; snippet = Ingest.snippet_of line }
+          :: t.quarantine_rev;
+        (c_quarantined, { s with quarantined = s.quarantined + 1 }, "error",
+         error label detail)
+    | Shed ->
+        Obs.event "serve.shed";
+        (c_shed, { s with shed = s.shed + 1 }, "overloaded",
+         [ ("queue_capacity", J.Int t.config.queue_capacity) ])
+    | Refused -> (c_refused, { s with refused = s.refused + 1 }, "draining", [])
+  in
+  Obs.incr counter;
+  t.totals <- totals;
+  respond t ~id ~status extra
+
 (* --- the admitted-request path ------------------------------------------ *)
 
 (* The store/index access of request [seq] may be fault-injected by
    the chaos hook.  Transient faults retry with exponential backoff up
    to [max_retries]; a fault that outlives the retries is answered as
    a typed error, a permanent fault quarantines the poisoned request
-   immediately. *)
-type access = Proceed | Exhausted of Fault.kind | Poisoned of Fault.kind
-
-let negotiate_faults t ~seq deadline =
+   immediately.  The loop is single-domain, so a backoff is recorded in
+   [backoff_s_total], never slept: waiting would stall every queued
+   request.  Once the access succeeds the op runs. *)
+let negotiate_faults t ~seq deadline op =
   let rec go attempt =
     match t.config.fault_hook ~seq ~attempt with
-    | None -> Proceed
+    | None -> (
+        match exec_op t deadline op with
+        | Ok result -> Answered result
+        | Error (label, detail) -> Typed_error (label, detail))
     | Some kind -> (
+        let name = Fault.kind_to_string kind in
         match Fault.classify kind with
-        | Fault.Permanent -> Poisoned kind
+        | Fault.Permanent ->
+            Quarantined
+              ( Ingest.Bad_value ("poisoned request: permanent " ^ name ^ " fault"),
+                "poisoned-request",
+                Printf.sprintf
+                  "permanent %s fault on the store/index access — request \
+                   quarantined"
+                  name )
+        | Fault.Transient when attempt >= t.config.max_retries ->
+            Typed_error
+              ( "fault-transient",
+                Printf.sprintf "transient %s fault persisted through %d retries"
+                  name t.config.max_retries )
         | Fault.Transient ->
-            if attempt >= t.config.max_retries then Exhausted kind
-            else begin
-              let backoff =
-                t.config.backoff_s *. float_of_int (1 lsl attempt)
-              in
-              t.n_retries <- t.n_retries + 1;
-              t.backoff_total <- t.backoff_total +. backoff;
-              Obs.incr c_retries;
-              t.config.sleep backoff;
-              check_deadline t deadline;
-              go (attempt + 1)
-            end)
+            let s = t.totals in
+            t.totals <-
+              {
+                s with
+                retries = s.retries + 1;
+                backoff_s_total =
+                  s.backoff_s_total
+                  +. (t.config.backoff_s *. float_of_int (1 lsl attempt));
+              };
+            Obs.incr c_retries;
+            check_deadline t deadline;
+            go (attempt + 1))
   in
   go 0
 
-let put_quarantine t ~frame_no reason snippet =
-  Obs.incr c_quarantined;
-  Obs.event "serve.quarantine"
-    ~fields:
-      [
-        ("label", Ingest.reason_label reason);
-        ("frame", string_of_int frame_no);
-      ];
-  t.quarantine_rev <-
-    { Ingest.line = frame_no; reason; snippet } :: t.quarantine_rev
-
-(* Decode and answer one admitted frame.  Total: every path ends in
-   exactly one response and exactly one terminal-class counter. *)
-let handle_admitted t ~frame_no line =
+(* Decode, run and close one admitted frame. *)
+let handle_admitted t line =
   let t0 = t.config.clock () in
-  let finish cls response =
+  let finish cls ~id terminal =
+    let response = close t ~id ~line terminal in
     Obs.observe (latency_of_class cls) (t.config.clock () -. t0);
     response
   in
   match decode_frame ~max_frame_bytes:t.config.max_frame_bytes line with
   | Error reason ->
-      put_quarantine t ~frame_no reason (Ingest.snippet_of line);
-      finish "malformed"
-        (error_response t ~id:J.Null ~label:(Ingest.reason_label reason)
-           ~detail:(Ingest.reason_detail reason))
-  | Ok frame -> (
+      finish "malformed" ~id:J.Null
+        (Quarantined (reason, Ingest.reason_label reason, Ingest.reason_detail reason))
+  | Ok frame ->
       let cls = class_of_op frame.op in
-      let deadline_s =
-        Option.value ~default:t.config.default_deadline_s frame.deadline_s
+      let deadline_ms =
+        Option.value ~default:t.config.default_deadline_ms frame.deadline_ms
       in
-      let deadline = t0 +. deadline_s in
+      let deadline = t0 +. (float_of_int deadline_ms /. 1000.0) in
       let seq = t.seq in
       t.seq <- seq + 1;
       Obs.span ("serve." ^ cls) @@ fun () ->
-      match
-        (try
-           match negotiate_faults t ~seq deadline with
-           | Proceed -> `Done (exec_op t deadline frame.op)
-           | Exhausted kind -> `Exhausted kind
-           | Poisoned kind -> `Poisoned kind
-         with Deadline_exceeded -> `Timeout)
-      with
-      | `Done (Ok result) ->
-          t.n_answered <- t.n_answered + 1;
-          Obs.incr c_answered;
-          finish cls
-            (respond t ~id:frame.id ~status:"ok" [ ("result", result) ])
-      | `Done (Error (label, detail)) ->
-          t.n_typed_errors <- t.n_typed_errors + 1;
-          Obs.incr c_errors;
-          finish cls (error_response t ~id:frame.id ~label ~detail)
-      | `Exhausted kind ->
-          t.n_typed_errors <- t.n_typed_errors + 1;
-          Obs.incr c_errors;
-          finish cls
-            (error_response t ~id:frame.id ~label:"fault-transient"
-               ~detail:
-                 (Printf.sprintf
-                    "transient %s fault persisted through %d retries"
-                    (Fault.kind_to_string kind) t.config.max_retries))
-      | `Poisoned kind ->
-          put_quarantine t ~frame_no
-            (Ingest.Bad_value
-               ("poisoned request: permanent " ^ Fault.kind_to_string kind
-              ^ " fault"))
-            (Ingest.snippet_of line);
-          finish cls
-            (error_response t ~id:frame.id ~label:"poisoned-request"
-               ~detail:
-                 (Printf.sprintf
-                    "permanent %s fault on the store/index access — request \
-                     quarantined"
-                    (Fault.kind_to_string kind)))
-      | `Timeout ->
-          t.n_timed_out <- t.n_timed_out + 1;
-          Obs.incr c_timeouts;
-          finish cls
-            (respond t ~id:frame.id ~status:"timeout"
-               [
-                 ("deadline_ms", J.Int (int_of_float (deadline_s *. 1000.0)));
-               ]))
+      finish cls ~id:frame.id
+        (try negotiate_faults t ~seq deadline frame.op
+         with Deadline_exceeded -> Timed_out deadline_ms)
 
 (* --- admission ---------------------------------------------------------- *)
 
-let shed_response t =
-  Obs.incr c_shed;
-  Obs.event "serve.shed";
-  t.n_shed <- t.n_shed + 1;
-  respond t ~id:J.Null ~status:"overloaded"
-    [ ("queue_capacity", J.Int t.config.queue_capacity) ]
-
-let refused_response t =
-  Obs.incr c_refused;
-  t.n_refused <- t.n_refused + 1;
-  respond t ~id:J.Null ~status:"draining" []
-
 let serve_burst t lines =
-  let n = List.length lines in
-  t.n_seen <- t.n_seen + n;
-  if t.draining then List.map (fun _ -> refused_response t) lines
+  if t.totals.drained then List.map (fun line -> close t ~id:J.Null ~line Refused) lines
   else begin
     (* admission: the queue takes the first [capacity] frames of the
        burst; the surplus is load-shed with an explicit typed response *)
-    let admitted, overflow =
-      if n <= t.config.queue_capacity then (lines, [])
-      else begin
-        let rec split i acc = function
-          | rest when i = t.config.queue_capacity -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: rest -> split (i + 1) (x :: acc) rest
-        in
-        split 0 [] lines
-      end
-    in
+    let capacity = t.config.queue_capacity in
+    let admitted = List.filteri (fun i _ -> i < capacity) lines in
     let depth = ref (List.length admitted) in
     Obs.set_gauge queue_gauge !depth;
     (* in-flight requests always complete, even when one of them is a
        drain: draining closes admission for *later* bursts only *)
     let answered =
-      List.mapi
-        (fun i line ->
-          let r = handle_admitted t ~frame_no:(t.n_seen - n + i + 1) line in
+      List.map
+        (fun line ->
+          let r = handle_admitted t line in
           decr depth;
           Obs.set_gauge queue_gauge !depth;
           r)
         admitted
     in
-    answered @ List.map (fun _ -> shed_response t) overflow
+    answered
+    @ List.map
+        (fun line -> close t ~id:J.Null ~line Shed)
+        (List.filteri (fun i _ -> i >= capacity) lines)
   end
 
 (* --- the channel loop --------------------------------------------------- *)
 
 let summary_json t =
-  let s = summary t in
+  let s = t.totals in
   J.Obj
     [
       ("id", J.Null);
@@ -961,9 +890,9 @@ let serve_channel t ic oc =
     flush oc
   in
   let rec loop () =
-    if not t.draining then begin
+    if not t.totals.drained then begin
       match read_burst () with
-      | [] -> t.draining <- true (* EOF: a clean drain *)
+      | [] -> t.totals <- { t.totals with drained = true } (* EOF: a clean drain *)
       | burst ->
           emit (serve_burst t burst);
           loop ()
@@ -975,7 +904,7 @@ let serve_channel t ic oc =
      gets its summary *)
   emit (serve_burst t (List.of_seq (Queue.to_seq pending)));
   emit [ J.to_string (summary_json t) ];
-  summary t
+  t.totals
 
 (* --- rendering ---------------------------------------------------------- *)
 

@@ -24,7 +24,8 @@
     - [stores]: the current snapshot's epoch, store sizes and
       certificate count (Table 1 online), with the decision-cache and
       CT-log statistics;
-    - [health]: liveness, epoch, queue and control-total counters;
+    - [health]: liveness, epoch, queue and control-total counters,
+      which cover the frames closed before it and so always reconcile;
     - [reload]: ["payload"] (a store-dump JSONL document) — attempt a
       snapshot update through the quarantining ingest layer;
     - [drain]: stop admitting, finish in-flight work, then shut down;
@@ -83,7 +84,8 @@
 
     {b Accounting.}  Every frame ends in exactly one terminal class —
     answered, typed-error, timeout, shed, refused-draining or
-    quarantined — and {!reconciled} checks the control totals add up.
+    quarantined — counted in one place as the frame closes, and
+    {!reconciled} checks the control totals add up.
     Per-class latency histograms ([serve.latency.*]), the queue-depth
     gauge and shed/timeout/retry counters live in {!Tangled_obs.Obs},
     inside the versioned [tangled-obs/1] trace. *)
@@ -101,19 +103,20 @@ type config = {
   batch : int;
       (** most frames answered per burst in {!serve_channel}
           (default 32) *)
-  default_deadline_s : float;
+  default_deadline_ms : int;
       (** per-request deadline when the frame has no [deadline_ms]
-          (default 0.25) *)
+          (default 250) *)
   max_retries : int;
       (** attempts beyond the first for transient faults (default 3) *)
   backoff_s : float;
       (** base backoff; attempt [n] backs off [backoff_s * 2^n]
-          (default 1ms) *)
+          (default 1ms).  The single-domain loop records each backoff in
+          [backoff_s_total] and never waits on it. *)
   max_frame_bytes : int;  (** frames longer than this are quarantined *)
   cache_capacity : int;
       (** capacity of the request-level decision cache (default 16384;
-          0 disables caching).  [validate], [diff] and [coverage]
-          answers are cached in a bounded lib/cache CLOCK keyed by
+          0 disables caching).  [validate], [diff], [coverage] and
+          ct-* answers are cached in a bounded lib/cache CLOCK keyed by
           (op, canonical parameters) under the snapshot epoch; the
           epoch — and with it every cached decision — rolls on
           {e accepted} reloads only, so a rejected reload leaves cache
@@ -121,16 +124,9 @@ type config = {
           cached; errors and timeouts always re-execute.  Cache
           statistics ride the [stores] and [health] responses and the
           [serve.decisions] Obs counters (volatile trace member). *)
-  ct_logs : int;
-      (** logs in the CT fleet built at {!create} (default 3; 0
-          disables the ct-* ops — they then answer [unknown-log]).
-          [stores]/[health] report each log's tree size and head. *)
   clock : unit -> float;
       (** monotonic-enough seconds; tests inject a fake clock to force
           deadlines deterministically *)
-  sleep : float -> unit;
-      (** how backoff waits; the default records the wait without
-          blocking the single-domain loop *)
   fault_hook : seq:int -> attempt:int -> Fault.kind option;
       (** fault injection aimed at the store/index access of request
           [seq] (0-based admission order), consulted once per attempt.
@@ -143,7 +139,7 @@ val default_config : config
 (** {1 Control totals} *)
 
 type summary = {
-  seen : int;  (** frames consumed from the stream *)
+  seen : int;  (** frames closed, each in exactly one class below *)
   answered : int;  (** status [ok] *)
   typed_errors : int;  (** status [error], frame well-formed *)
   timed_out : int;  (** status [timeout] *)
@@ -174,16 +170,20 @@ val create : ?config:config -> Tangled_core.Pipeline.t -> t
     from the world's own store dump (epoch 1). *)
 
 val summary : t -> summary
+(** The control totals of every frame closed so far. *)
+
 val draining : t -> bool
+(** [(summary t).drained]. *)
 
 val quarantine : t -> Ingest.quarantined list
 (** Quarantined frames in arrival order; [line] is the 1-based frame
-    ordinal in the stream. *)
+    ordinal in the stream (the running [seen]). *)
 
 val ct_fleet : t -> Tangled_ct.Fleet.t option
-(** The server's CT log fleet ([None] when [ct_logs] is 0) — tests
-    re-verify served proofs against it through the pure
-    {!Tangled_ct.Proof} API. *)
+(** The server's CT log fleet (always [Some]; built as
+    [Tangled_core.Ct_report.compute] builds it) — tests re-verify
+    served proofs against it through the pure {!Tangled_ct.Proof}
+    API. *)
 
 val cache_stats : t -> Tangled_cache.Cache.stats option
 (** Decision-cache statistics ([None] when caching is disabled):

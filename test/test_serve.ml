@@ -202,13 +202,11 @@ let test_deadline_times_out () =
 (* --- unit: retry / backoff --------------------------------------------- *)
 
 let test_transient_fault_retries_then_succeeds () =
-  let waits = ref [] in
   let config =
     {
       Serve.default_config with
       Serve.fault_hook =
         (fun ~seq:_ ~attempt -> if attempt < 2 then Some Fault.Truncate else None);
-      sleep = (fun s -> waits := s :: !waits);
     }
   in
   let t = server ~config () in
@@ -219,11 +217,10 @@ let test_transient_fault_retries_then_succeeds () =
   | _ -> Alcotest.fail "expected one response");
   let s = Serve.summary t in
   check Alcotest.int "two retries" 2 s.Serve.retries;
-  (* exponential: base, then double *)
-  check (Alcotest.list (Alcotest.float 1e-9)) "backoff doubles"
-    [ Serve.default_config.Serve.backoff_s;
-      2.0 *. Serve.default_config.Serve.backoff_s ]
-    (List.rev !waits)
+  (* exponential: base, then double — recorded, never slept *)
+  check (Alcotest.float 1e-12) "backoff doubles"
+    (3.0 *. Serve.default_config.Serve.backoff_s)
+    s.Serve.backoff_s_total
 
 let test_transient_fault_exhausts_budget () =
   let config =
@@ -902,17 +899,6 @@ let test_ct_typed_errors () =
       check (Alcotest.option Alcotest.string) "type mismatch quarantined"
         (Some "type-mismatch") (error_label r)
   | _ -> Alcotest.fail "expected one response");
-  (* with the fleet disabled every ct op is a typed unknown-log *)
-  let t0 = server ~config:{ Serve.default_config with Serve.ct_logs = 0 } () in
-  (match
-     Serve.serve_burst t0
-       [ frame [ ("id", J.Int 7); ("op", J.String "ct-visibility");
-                 ("store", J.String "mozilla") ] ]
-   with
-  | [ r ] ->
-      check (Alcotest.option Alcotest.string) "disabled fleet is typed"
-        (Some "unknown-log") (error_label r)
-  | _ -> Alcotest.fail "expected one response");
   let s = Serve.summary t in
   check Alcotest.bool "reconciled" true (Serve.reconciled s)
 
@@ -1062,6 +1048,228 @@ let test_ct_fleet_is_reported () =
           (Fleet.entries fleet)))
     heads
 
+(* The timeout answer echoes the frame's own [deadline_ms], byte for
+   byte: 1001 ms is one of the values a round trip through float
+   seconds (ms / 1000 * 1000, truncated) would bring back 1 short. *)
+let test_timeout_echoes_deadline () =
+  let now = ref 0.0 in
+  let clock () = now := !now +. 2.0; !now in
+  let t = server ~config:{ Serve.default_config with Serve.clock } () in
+  match
+    Serve.serve_burst t
+      [ frame [ ("id", J.Int 1); ("op", J.String "diff");
+                ("store", J.String "mozilla"); ("deadline_ms", J.Int 1001) ] ]
+  with
+  | [ r ] ->
+      check (Alcotest.option Alcotest.string) "timed out" (Some "timeout")
+        (status_of r);
+      check (Alcotest.option Alcotest.int) "deadline_ms echoed" (Some 1001)
+        (match J.parse r with
+        | Ok json -> (
+            match J.member "deadline_ms" json with Some (J.Int ms) -> Some ms | _ -> None)
+        | Error _ -> None)
+  | _ -> Alcotest.fail "expected one response"
+
+(* A reload that fails — a poisoned payload, a permanent fault on its
+   access, a transient fault past the retry budget, or a deadline blown
+   under a stepping clock — leaves the [stores] answer (epoch, sizes,
+   certificate count, cache statistics, every CT head) and the cache's
+   own statistics byte-identical.  A transient fault that recovers
+   applies the reload exactly once. *)
+let test_reload_under_faults () =
+  let doc = Export.stores_jsonl (world ()) in
+  let armed = ref None and stepping = ref false and now = ref 0.0 in
+  let config =
+    {
+      Serve.default_config with
+      Serve.max_frame_bytes = 1 lsl 23;
+      clock = (fun () -> if !stepping then now := !now +. 1.0; !now);
+      fault_hook =
+        (fun ~seq:_ ~attempt ->
+          match !armed with
+          | Some (kind, persists) when attempt < persists -> Some kind
+          | _ -> None);
+    }
+  in
+  let t = server ~config () in
+  let diff id =
+    frame [ ("id", J.Int id); ("op", J.String "diff"); ("store", J.String "mozilla") ]
+  in
+  ignore (Serve.serve_burst t [ diff 1; diff 2 ]);
+  let observe () = (stores_response t, Serve.cache_stats t) in
+  let reload ?fault ?(step = false) payload =
+    armed := fault;
+    stepping := step;
+    let r =
+      Serve.serve_burst t
+        [ frame [ ("id", J.Int 3); ("op", J.String "reload");
+                  ("payload", J.String payload) ] ]
+    in
+    armed := None;
+    stepping := false;
+    match r with [ r ] -> r | _ -> Alcotest.fail "expected one response"
+  in
+  let before = observe () in
+  check Alcotest.bool "cache warm" true
+    (match snd before with Some s -> s.Tangled_cache.Cache.hits > 0 | None -> false);
+  let poisoned = String.sub doc 0 (String.length doc - 40) in
+  List.iter
+    (fun (name, expect, attempt) ->
+      let response = attempt () in
+      let got =
+        match error_label response with Some l -> Some l | None -> status_of response
+      in
+      check (Alcotest.option Alcotest.string) name (Some expect) got;
+      check Alcotest.bool (name ^ ": nothing moved") true (observe () = before))
+    [
+      ("poisoned payload", "update-rejected", fun () -> reload poisoned);
+      ("permanent fault", "poisoned-request",
+       fun () -> reload ~fault:(Fault.Missing_field, max_int) doc);
+      ("retries exhausted", "fault-transient",
+       fun () -> reload ~fault:(Fault.Bit_flip, max_int) doc);
+      ("deadline blown", "timeout", fun () -> reload ~step:true doc);
+    ];
+  let epoch = (Serve.summary t).Serve.epoch in
+  check (Alcotest.option Alcotest.string) "recovered reload applies" (Some "ok")
+    (status_of (reload ~fault:(Fault.Truncate, 2) doc));
+  let s = Serve.summary t in
+  check Alcotest.int "epoch advanced once" (epoch + 1) s.Serve.epoch;
+  check Alcotest.int "one reload accepted" 1 s.Serve.reloads_accepted;
+  check Alcotest.int "one reload rejected" 1 s.Serve.reloads_rejected;
+  check Alcotest.bool "reconciled" true (Serve.reconciled s)
+
+(* --- against the reference model ----------------------------------------- *)
+
+module Model = Serve_model
+
+(* the pools of frames the model knows, with every pure read answered
+   once by an uncached, frozen-clock server *)
+let model_pools =
+  lazy
+    (let config =
+       { Serve.default_config with Serve.cache_capacity = 0; clock = (fun () -> 0.0) }
+     in
+     Model.pools ~oracle:(server ~config ()) (world ()))
+
+let gen_frame (p : Model.pools) =
+  let open QCheck.Gen in
+  let pick a = int_bound (Array.length a - 1) in
+  let cmd =
+    frequency
+      [
+        (10, map (fun i -> Model.Read i) (pick p.Model.reads));
+        (2, return Model.Stores);
+        (2, return Model.Health);
+        (2, map (fun i -> Model.Reload i) (pick p.Model.payloads));
+        (1, return Model.Drain);
+        (2, map (fun i -> Model.Malformed i) (pick p.Model.malformed));
+      ]
+  in
+  let fault =
+    frequency
+      [
+        (12, return None);
+        (1, map (fun n -> Some (Model.Recovers n)) (int_range 1 3));
+        (1, return (Some Model.Exhausts));
+        (1, return (Some Model.Poisons));
+      ]
+  in
+  map2 (fun cmd fault -> { Model.cmd; fault }) cmd fault
+
+let show_frame (f : Model.frame) =
+  (match f.Model.cmd with
+  | Model.Read i -> Printf.sprintf "read%d" i
+  | Stores -> "stores"
+  | Health -> "health"
+  | Reload i -> Printf.sprintf "reload%d" i
+  | Drain -> "drain"
+  | Malformed i -> Printf.sprintf "malformed%d" i)
+  ^
+  match f.Model.fault with
+  | None -> ""
+  | Some (Model.Recovers n) -> Printf.sprintf "+recovers%d" n
+  | Some Exhausts -> "+exhausts"
+  | Some Poisons -> "+poisons"
+
+(* a cache capacity and a sequence of bursts; a burst runs from one
+   frame to beyond the queue capacity of 4 *)
+let arb_model_run =
+  let open QCheck in
+  make
+    (fun st ->
+      let frame = gen_frame (Lazy.force model_pools) in
+      Gen.(
+        pair (oneofl [ 0; 1; 16384 ])
+          (list_size (int_range 1 6) (list_size (int_range 1 7) frame)))
+        st)
+    ~print:(fun (capacity, bursts) ->
+      Printf.sprintf "cache %d: %s" capacity
+        (String.concat " | "
+           (List.map (fun b -> String.concat " " (List.map show_frame b)) bursts)))
+    ~shrink:Shrink.(pair nil (list ~shrink:(fun b -> list b)))
+
+(* the process-global [cache] member of a stores/health answer, masked *)
+let mask_cache line =
+  match J.parse line with
+  | Ok (J.Obj fields)
+    when Option.bind (List.assoc_opt "result" fields) (J.member "cache") <> None ->
+      let mask = List.map (function "cache", _ -> ("cache", J.Null) | kv -> kv) in
+      J.to_string
+        (J.Obj (List.map (function "result", J.Obj r -> ("result", J.Obj (mask r)) | kv -> kv) fields))
+  | _ -> line
+
+(* a health answer's counters add up (it runs only before a drain, so
+   nothing is refused yet) *)
+let health_reconciles line =
+  match Result.map (J.member "result") (J.parse line) with
+  | Ok (Some result) when J.member "protocol" result <> None ->
+      let n f = match J.member f result with Some (J.Int v) -> v | _ -> -1 in
+      n "seen"
+      = n "answered" + n "typed_errors" + n "timed_out" + n "shed" + n "quarantined"
+  | _ -> true
+
+(* Random bursts through the model and a fresh server: one response per
+   frame, each byte-identical to the model's (cache member masked), the
+   same control totals and quarantine records after every burst, and
+   every health answer reconciled.  The cache must be invisible. *)
+let prop_serve_matches_model =
+  QCheck.Test.make ~name:"serve answers as the reference model" ~count:60 arb_model_run
+    (fun (cache_capacity, bursts) ->
+      let pools = Lazy.force model_pools in
+      let config =
+        { Serve.default_config with
+          Serve.queue_capacity = 4; cache_capacity; clock = (fun () -> 0.0) }
+      in
+      let m = Model.create pools config in
+      let t = server ~config:{ config with Serve.fault_hook = Model.hook m } () in
+      let next_id = ref 0 in
+      List.iteri
+        (fun b frames ->
+          let frames = List.map (fun f -> incr next_id; (!next_id, f)) frames in
+          let expected = Model.burst m frames in
+          let actual = Serve.serve_burst t (List.map (Model.render pools) frames) in
+          if List.length actual <> List.length frames then
+            QCheck.Test.fail_reportf "burst %d: %d responses to %d frames" b
+              (List.length actual) (List.length frames);
+          List.iter2
+            (fun e a ->
+              if mask_cache a <> e then
+                QCheck.Test.fail_reportf "burst %d:@.model  %s@.server %s" b e (mask_cache a);
+              if not (health_reconciles a) then
+                QCheck.Test.fail_reportf "burst %d: health does not reconcile: %s" b a)
+            expected actual;
+          let s = Serve.summary t in
+          if s <> m.Model.totals then
+            QCheck.Test.fail_reportf "burst %d: totals@.model@.%s@.server@.%s" b
+              (Serve.render_summary m.Model.totals) (Serve.render_summary s);
+          if Serve.quarantine t <> List.rev m.Model.quarantine then
+            QCheck.Test.fail_reportf "burst %d: quarantine records differ" b;
+          if List.length (Serve.quarantine t) <> s.Serve.quarantined then
+            QCheck.Test.fail_reportf "burst %d: %d quarantine records, %d counted" b
+              (List.length (Serve.quarantine t)) s.Serve.quarantined)
+        bursts;
+      true)
+
 (* --- the composed drill at a pinned seed ------------------------------- *)
 
 let test_drill_pinned_seed () =
@@ -1122,4 +1330,9 @@ let suite =
       `Quick test_serve_channel_drain_refuses_queued;
     Alcotest.test_case "v2: the served CT fleet is the reported one" `Quick
       test_ct_fleet_is_reported;
+    Alcotest.test_case "timeout echoes the frame's deadline_ms" `Quick
+      test_timeout_echoes_deadline;
+    Alcotest.test_case "failed reloads leave snapshot, cache and heads" `Quick
+      test_reload_under_faults;
+    qtest prop_serve_matches_model;
   ]
