@@ -51,8 +51,8 @@ let csv_dir_arg =
   let doc = "Also dump each artefact's data as CSV into this directory." in
   Arg.(value & opt (some dir) None & info [ "csv-dir" ] ~docv:"DIR" ~doc)
 
-(* Flags the measurement subcommands that build a world (report, chaos,
-   serve) accept uniformly, so instrumentation is driven the same way
+(* Flags the measurement subcommands that build a world (report, serve)
+   accept uniformly, so instrumentation is driven the same way
    everywhere.  `ingest` replays a recorded dataset and takes only
    --trace-out. *)
 type common = { seed : int; jobs : int; trace_out : string option }
@@ -131,18 +131,23 @@ let report_cmd =
 
 (* --- stores ----------------------------------------------------------- *)
 
-(* an official store of a freshly built universe, by its short name *)
+(* An official store's short name, checked as the command line is
+   parsed, before any world is built. *)
+let official_store_arg long ~doc =
+  let names = Tangled_pki.Blueprint.official_store_names in
+  let doc = doc ^ ": " ^ Arg.doc_alts names ^ "." in
+  Arg.(value & opt (enum (List.map (fun n -> (n, n)) names)) "aosp44"
+       & info [ long ] ~docv:"NAME" ~doc)
+
+(* an official store of a freshly built universe; [official_store_arg]
+   admits no other name *)
 let official_store ~seed ~key_bits name =
-  let universe = Tangled_pki.Blueprint.build ~key_bits ~seed () in
-  match Tangled_pki.Blueprint.store_of_name universe name with
-  | Some store -> store
-  | None -> invalid_arg ("unknown store " ^ name)
+  Option.get
+    (Tangled_pki.Blueprint.store_of_name
+       (Tangled_pki.Blueprint.build ~key_bits ~seed ()) name)
 
 let stores_cmd =
-  let store_arg =
-    let doc = "Which store to show: aosp41, aosp42, aosp43, aosp44, mozilla, ios7." in
-    Arg.(value & opt string "aosp44" & info [ "store" ] ~docv:"NAME" ~doc)
-  in
+  let store_arg = official_store_arg "store" ~doc:"Which store to show" in
   let pem_arg =
     let doc = "Dump the store as concatenated PEM on stdout." in
     Arg.(value & flag & info [ "pem" ] ~doc)
@@ -183,10 +188,17 @@ let stores_cmd =
 
 (* --- export ------------------------------------------------------------- *)
 
+(* The three datasets export writes and ingest reads, by the "kind" tag
+   of their manifest line. *)
+let datasets = [ ("sessions", `Sessions); ("notary", `Notary); ("stores", `Stores) ]
+
 let export_cmd =
   let what_arg =
-    let doc = "What to export: sessions, notary, or stores." in
-    Arg.(value & opt string "sessions" & info [ "what" ] ~docv:"KIND" ~doc)
+    let doc = "What to export: " ^ Arg.doc_alts (List.map fst datasets) ^ "." in
+    Arg.(value
+         & opt (enum (List.map (fun (name, k) -> (name, (name, k))) datasets))
+             ("sessions", `Sessions)
+         & info [ "what" ] ~docv:"KIND" ~doc)
   in
   let out_arg =
     let doc = "Output file (defaults to <kind>.jsonl in the working directory)." in
@@ -196,17 +208,16 @@ let export_cmd =
     let doc = "Export only the first N records (sessions and notary)." in
     Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc)
   in
-  let run () seed sessions leaves key_bits what out limit =
+  let run () seed sessions leaves key_bits (name, what) out limit =
     let world = build_world seed sessions leaves key_bits in
     let module Export = Tangled_core.Export in
     let contents =
       match what with
-      | "sessions" -> Export.sessions_jsonl ?limit world
-      | "notary" -> Export.notary_jsonl ?limit world
-      | "stores" -> Export.stores_jsonl world
-      | _ -> invalid_arg ("unknown export kind " ^ what)
+      | `Sessions -> Export.sessions_jsonl ?limit world
+      | `Notary -> Export.notary_jsonl ?limit world
+      | `Stores -> Export.stores_jsonl world
     in
-    let path = Option.value ~default:(what ^ ".jsonl") out in
+    let path = Option.value ~default:(name ^ ".jsonl") out in
     Export.write_text path contents;
     Logs.app (fun m -> m "wrote %s" path)
   in
@@ -228,7 +239,6 @@ let read_whole_file path =
 
 let ingest_cmd =
   let module Ingest = Tangled_ingest.Ingest in
-  let module J = Tangled_util.Json in
   let module T = Tangled_util.Text_table in
   let file_arg =
     let doc = "Dataset to ingest: a .jsonl record stream, as $(b,export) writes it." in
@@ -236,35 +246,29 @@ let ingest_cmd =
   in
   let kind_arg =
     let doc =
-      "Record schema: sessions, notary, stores, or auto (the manifest's kind \
-       tag on line 1)."
+      "Record schema: " ^ Arg.doc_alts (List.map fst datasets)
+      ^ ", or auto (the \"kind\" tag of the manifest, the first non-empty \
+         line)."
     in
-    Arg.(value & opt string "auto" & info [ "kind" ] ~docv:"KIND" ~doc)
-  in
-  let detect_kind input =
-    (* the manifest's "kind" tag, read from the first line only *)
-    let first =
-      match String.index_opt input '\n' with
-      | Some i -> String.sub input 0 i
-      | None -> input
-    in
-    match J.parse first with
-    | Ok json -> (
-        match J.member "kind" json with Some (J.String k) -> Some k | _ -> None)
-    | Error _ -> None
+    Arg.(value
+         & opt (enum (("auto", None) :: List.map (fun (n, k) -> (n, Some k)) datasets))
+             None
+         & info [ "kind" ] ~docv:"KIND" ~doc)
   in
   let run () trace_out file kind =
     let input = read_whole_file file in
     let kind =
       match kind with
-      | "auto" -> (
-          match detect_kind input with
+      | Some k -> k
+      | None -> (
+          match
+            Option.bind (Ingest.manifest_kind input) (fun k -> List.assoc_opt k datasets)
+          with
           | Some k -> k
           | None ->
               Logs.warn (fun m ->
                   m "cannot detect dataset kind; assuming sessions");
-              "sessions")
-      | k -> k
+              `Sessions)
     in
     (* CLI-only: the input digest stays out of render_stats so report
        artefacts remain byte-stable *)
@@ -272,7 +276,7 @@ let ingest_cmd =
       Printf.printf "input sha256: %s\n" stats.Ingest.input_sha256
     in
     (match kind with
-    | "sessions" ->
+    | `Sessions ->
         let r = Ingest.sessions_of_string input in
         print_endline (Ingest.render_stats ~title:("Session-log ingest: " ^ file) r);
         print_digest r.Ingest.stats;
@@ -285,7 +289,7 @@ let ingest_cmd =
                ("rooted fraction", T.fmt_pct (Ingest.rooted_fraction r));
                ("intercepted sessions", T.fmt_int (Ingest.intercepted_sessions r));
              ])
-    | "notary" ->
+    | `Notary ->
         let r = Ingest.notary_of_string input in
         print_endline (Ingest.render_stats ~title:("Notary-DB ingest: " ^ file) r);
         print_digest r.Ingest.stats;
@@ -298,7 +302,7 @@ let ingest_cmd =
                ( "via-intermediate fraction",
                  T.fmt_pct (Ingest.via_intermediate_fraction r) );
              ])
-    | "stores" ->
+    | `Stores ->
         let r = Ingest.stores_of_string input in
         print_endline (Ingest.render_stats ~title:("Store-dump ingest: " ^ file) r);
         print_digest r.Ingest.stats;
@@ -308,8 +312,7 @@ let ingest_cmd =
              ~header:[ "store"; "certificates" ]
              (List.map
                 (fun (s, n) -> [ s; string_of_int n ])
-                (Ingest.store_sizes r)))
-    | other -> invalid_arg ("unknown ingest kind " ^ other));
+                (Ingest.store_sizes r))));
     write_trace trace_out
   in
   Cmd.v
@@ -319,64 +322,10 @@ let ingest_cmd =
           quarantine, dedup, reconcile against the manifest")
     Term.(const run $ logs_term $ trace_out_arg $ file_arg $ kind_arg)
 
-(* --- chaos --------------------------------------------------------------- *)
-
-let chaos_cmd =
-  let rate_arg =
-    let doc = "Per-record fault probability." in
-    Arg.(value & opt float 0.05 & info [ "rate" ] ~docv:"P" ~doc)
-  in
-  let fault_seed_arg =
-    let doc = "Seed of the fault-injection PRNG (independent of the world seed)." in
-    Arg.(value & opt int 12 & info [ "fault-seed" ] ~docv:"SEED" ~doc)
-  in
-  let tolerance_arg =
-    let doc = "Maximum relative drift allowed in the headline numbers." in
-    Arg.(value & opt float 0.01 & info [ "tolerance" ] ~docv:"T" ~doc)
-  in
-  let run () common sessions leaves key_bits rate fault_seed tolerance =
-    let world = build_world ~jobs:common.jobs common.seed sessions leaves key_bits in
-    let outcome =
-      Tangled_core.Chaos.run ~seed:fault_seed ~rate ~tolerance world
-    in
-    print_string (Tangled_core.Chaos.render outcome);
-    write_trace ~jobs:world.Pipeline.jobs common.trace_out;
-    if not outcome.Tangled_core.Chaos.ok then exit 1
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Export the world, inject seeded faults, re-ingest, and audit that \
-          every fault is quarantined and the headline numbers survive")
-    Term.(const run $ logs_term $ common_term $ sessions_arg $ leaves_arg
-          $ key_bits_arg $ rate_arg $ fault_seed_arg $ tolerance_arg)
-
 (* --- serve ------------------------------------------------------------- *)
 
 let serve_cmd =
   let module Serve = Tangled_serve.Serve in
-  let drill_arg =
-    let doc =
-      "Instead of serving stdin, run the serve chaos drill: a generated \
-       request corpus is fault-injected, served in bursts (one deliberately \
-       over capacity) under a seeded store/index fault plan, and the \
-       robustness contract is audited — zero crashes, zero unaccounted \
-       requests."
-    in
-    Arg.(value & flag & info [ "drill" ] ~doc)
-  in
-  let requests_arg =
-    let doc = "Size of the drill's request corpus." in
-    Arg.(value & opt int 600 & info [ "requests" ] ~docv:"N" ~doc)
-  in
-  let rate_arg =
-    let doc = "Per-frame fault probability for the drill's request stream." in
-    Arg.(value & opt float 0.08 & info [ "rate" ] ~docv:"P" ~doc)
-  in
-  let fault_seed_arg =
-    let doc = "Seed of the drill's fault-injection PRNGs." in
-    Arg.(value & opt int 12 & info [ "fault-seed" ] ~docv:"SEED" ~doc)
-  in
   let queue_arg =
     let doc = "Admission-queue capacity; a larger burst is load-shed." in
     Arg.(value & opt int Serve.default_config.Serve.queue_capacity
@@ -403,48 +352,35 @@ let serve_cmd =
     Arg.(value & opt int Serve.default_config.Serve.cache_capacity
          & info [ "cache-capacity" ] ~docv:"N" ~doc)
   in
-  let run () common sessions leaves key_bits drill requests rate fault_seed
-      queue_capacity batch deadline_ms cache_capacity =
+  let run () common sessions leaves key_bits queue_capacity batch deadline_ms
+      cache_capacity =
     let world = build_world ~jobs:common.jobs common.seed sessions leaves key_bits in
-    if drill then begin
-      let outcome =
-        Tangled_serve.Drill.run ~seed:fault_seed ~rate ~requests
-          ~cache_capacity world
-      in
-      print_string (Tangled_serve.Drill.render outcome);
-      write_trace ~jobs:world.Pipeline.jobs common.trace_out;
-      if not outcome.Tangled_serve.Drill.ok then exit 1
-    end
-    else begin
-      let config =
-        {
-          Serve.default_config with
-          Serve.queue_capacity;
-          batch;
-          default_deadline_ms = deadline_ms;
-          cache_capacity;
-        }
-      in
-      let server = Serve.create ~config world in
-      Logs.app (fun m ->
-          m "serving %s on stdin (queue %d, batch %d, deadline %dms)"
-            Serve.protocol_version queue_capacity batch deadline_ms);
-      let summary = Serve.serve_channel server stdin stdout in
-      Logs.app (fun m -> m "%s" (Serve.render_summary summary));
-      write_trace ~jobs:world.Pipeline.jobs common.trace_out;
-      if not (Serve.reconciled summary) then exit 1
-    end
+    let config =
+      {
+        Serve.default_config with
+        Serve.queue_capacity;
+        batch;
+        default_deadline_ms = deadline_ms;
+        cache_capacity;
+      }
+    in
+    let server = Serve.create ~config world in
+    Logs.app (fun m ->
+        m "serving %s on stdin (queue %d, batch %d, deadline %dms)"
+          Serve.protocol_version queue_capacity batch deadline_ms);
+    let summary = Serve.serve_channel server stdin stdout in
+    Logs.app (fun m -> m "%s" (Serve.render_summary summary));
+    write_trace ~jobs:world.Pipeline.jobs common.trace_out;
+    if not (Serve.reconciled summary) then exit 1
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Answer the paper's queries online: a fault-tolerant JSONL request \
           loop over stdin with admission control, deadlines, retry/backoff \
-          and graceful degradation ($(b,--drill) audits it under chaos)")
+          and graceful degradation")
     Term.(const run $ logs_term $ common_term $ sessions_arg $ leaves_arg
-          $ key_bits_arg $ drill_arg $ requests_arg $ rate_arg
-          $ fault_seed_arg $ queue_arg $ batch_arg $ deadline_arg
-          $ cache_arg)
+          $ key_bits_arg $ queue_arg $ batch_arg $ deadline_arg $ cache_arg)
 
 (* --- sensitivity ---------------------------------------------------------- *)
 
@@ -476,13 +412,7 @@ let audit_cmd =
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"STORE" ~doc)
   in
-  let baseline_arg =
-    let doc =
-      "Official store to diff against: aosp41, aosp42, aosp43, aosp44, \
-       mozilla, ios7."
-    in
-    Arg.(value & opt string "aosp44" & info [ "baseline" ] ~docv:"NAME" ~doc)
-  in
+  let baseline_arg = official_store_arg "baseline" ~doc:"Official store to diff against" in
   let run () seed key_bits pem_file baseline =
     let module Rs = Tangled_store.Root_store in
     let module C = Tangled_x509.Certificate in
@@ -734,7 +664,7 @@ let main_cmd =
   let doc = "Reproduction of 'A Tangled Mass: The Android Root Certificate Stores'" in
   Cmd.group
     (Cmd.info "tangled-mass" ~version:"1.0.0" ~doc)
-    [ report_cmd; audit_cmd; export_cmd; ingest_cmd; chaos_cmd; serve_cmd;
+    [ report_cmd; audit_cmd; export_cmd; ingest_cmd; serve_cmd;
       sensitivity_cmd; scale_cmd; stores_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

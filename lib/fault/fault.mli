@@ -1,13 +1,12 @@
-(** Deterministic fault injection over serialized datasets.
+(** The fault kinds: how field data — Netalyzr session uploads, Notary
+    chain records, store/index accesses — arrives damaged in the real
+    world, and whether retrying can help.
 
-    The measurement pipeline's field data — Netalyzr session uploads
-    and Notary chain records — arrives truncated, duplicated,
-    clock-skewed and malformed in the real world.  This module turns a
-    pristine JSONL export (one manifest line followed by one record
-    per line, see {!Tangled_core.Export}) into a realistically damaged
-    one, deterministically from a seed, and returns a ledger tagging
-    every injected fault so the ingestion layer's quarantine can be
-    audited fault-by-fault. *)
+    The serving layer's retry policy reads {!classify}.  The seeded
+    corruption operators that inject each kind into an exported JSONL
+    dataset, and the oracle that accounts for every injected fault in
+    the ingest quarantine, live with the tests ([test/fault_inject.ml],
+    [test/test_ingest.ml]). *)
 
 type kind =
   | Bit_flip
@@ -52,26 +51,3 @@ type severity =
           was produced; retrying re-reads the same wrong record *)
 
 val classify : kind -> severity
-val severity_to_string : severity -> string
-
-type injection = {
-  seq : int;  (** injection ordinal, 0-based *)
-  kind : kind;
-  record : int;  (** 0-based index of the victim in the clean record stream *)
-  key : string option;
-      (** the record's identity (session id / subject) when parseable *)
-  field : string option;  (** field targeted by field-level faults *)
-  out_line : int option;
-      (** 1-based line of the faulty record in the corrupted document
-          (the manifest is line 1); [None] for {!Drop} *)
-  note : string;  (** human-readable description of what was done *)
-}
-
-val inject :
-  seed:int -> rate:float -> string -> string * injection list
-(** [inject ~seed ~rate doc] corrupts the JSONL document [doc]: each
-    record independently suffers one fault with probability [rate],
-    the kind drawn uniformly from {!all_kinds} filtered to those
-    applicable to the record.  The manifest line is never touched.
-    Deterministic in [seed]; [rate = 0] is the identity.  Returns the
-    corrupted document and the ledger in record order. *)

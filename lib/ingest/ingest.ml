@@ -307,6 +307,13 @@ let control_bytes_msg = "record line carries raw NUL/control bytes"
 let looks_like_header schema fields =
   List.mem_assoc "kind" fields || List.mem_assoc schema.declared_field fields
 
+(* The end of the line that starts at [i]: its newline, or the end of
+   the input. *)
+let line_end input i =
+  match String.index_from_opt input i '\n' with
+  | Some j -> j
+  | None -> String.length input
+
 (* One pass over the input: each line is absorbed into the input
    digest and, unless blank, read as the manifest or classified as a
    record before the next line is scanned.  Line numbers are the
@@ -370,9 +377,7 @@ let run schema input =
   let n = String.length input in
   let i = ref 0 and line = ref 1 and first = ref true in
   while !i < n do
-    let j =
-      match String.index_from_opt input !i '\n' with Some j -> j | None -> n
-    in
+    let j = line_end input !i in
     H.feed_sub ctx input ~off:!i ~len:(Stdlib.min (j + 1) n - !i);
     if j > !i then begin
       let text = String.sub input !i (j - !i) in
@@ -453,6 +458,22 @@ let sessions_of_string input = run session_schema input
 let notary_of_string input = run chain_schema input
 let stores_of_string input = run cert_schema input
 
+(* [run] reads the first non-empty line as the manifest; a "kind" tag
+   makes it one for every schema. *)
+let manifest_kind input =
+  let rec first i =
+    if i >= String.length input then None
+    else
+      let j = line_end input i in
+      if j > i then Some (String.sub input i (j - i)) else first (j + 1)
+  in
+  match Option.map J.parse (first 0) with
+  | Some (Ok (J.Obj fields)) -> (
+      match List.assoc_opt "kind" fields with
+      | Some (J.String k) -> Some k
+      | _ -> None)
+  | _ -> None
+
 (* --- aggregates -------------------------------------------------------- *)
 
 let fraction pred t =
@@ -473,22 +494,6 @@ let intercepted_sessions (t : session_view ingest) =
   Array.to_list t.records
   |> List.filter (fun s -> List.exists (fun p -> p.intercepted) s.probes)
   |> List.length
-
-let counted_desc keys =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun k -> Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    keys;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (ka, a) (kb, b) ->
-         if a <> b then Stdlib.compare b a else Stdlib.compare ka kb)
-
-let sessions_by_model (t : session_view ingest) =
-  counted_desc
-    (Array.to_list t.records |> List.map (fun s -> s.manufacturer ^ " " ^ s.model))
-
-let sessions_by_manufacturer (t : session_view ingest) =
-  counted_desc (Array.to_list t.records |> List.map (fun s -> s.manufacturer))
 
 let unexpired (t : chain_view ingest) =
   Array.to_list t.records |> List.filter (fun c -> not c.expired) |> List.length

@@ -172,6 +172,12 @@ val sessions_of_string : string -> session_view ingest
 val notary_of_string : string -> chain_view ingest
 val stores_of_string : string -> cert_view ingest
 
+val manifest_kind : string -> string option
+(** The ["kind"] tag of the input's manifest: the first non-empty line,
+    which the entry points above read as the manifest, when it is an
+    object with a string ["kind"] member ([Export] writes ["sessions"],
+    ["notary"] or ["stores"]).  [None] for any other input. *)
+
 (** {1 Aggregates over ingested data}
 
     The [Netalyzr] / [Notary] aggregate API, recomputed from accepted
@@ -182,11 +188,6 @@ val extended_fraction : session_view ingest -> float
 val rooted_fraction : session_view ingest -> float
 val estimated_handsets : session_view ingest -> int
 val intercepted_sessions : session_view ingest -> int
-
-val sessions_by_model : session_view ingest -> (string * int) list
-(** ["Manufacturer Model" -> sessions], descending — Table 2's left half. *)
-
-val sessions_by_manufacturer : session_view ingest -> (string * int) list
 
 val unexpired : chain_view ingest -> int
 val total_chains : chain_view ingest -> int

@@ -142,9 +142,8 @@ val events : unit -> event_record list
 val reset_all : unit -> unit
 (** Zero every counter and gauge, clear every histogram's buckets and
     sum, and drop all recorded spans and events.  Instruments stay
-    registered under their names.  The serve drill and the tests call
-    this between phases so no state leaks across a measurement
-    boundary. *)
+    registered under their names.  The tests call this between phases
+    so no state leaks across a measurement boundary. *)
 
 (** {1 Trace export} *)
 

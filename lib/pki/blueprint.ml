@@ -432,14 +432,20 @@ let find_root_by_key t key =
   | Some id when id < Array.length t.root_of_id -> t.root_of_id.(id)
   | _ -> None
 
-let store_of_name t = function
-  | "aosp41" -> Some (t.aosp PD.V4_1)
-  | "aosp42" -> Some (t.aosp PD.V4_2)
-  | "aosp43" -> Some (t.aosp PD.V4_3)
-  | "aosp44" -> Some (t.aosp PD.V4_4)
-  | "mozilla" -> Some t.mozilla
-  | "ios7" -> Some t.ios7
-  | _ -> None
+let official_stores =
+  [
+    ("aosp41", fun t -> t.aosp PD.V4_1);
+    ("aosp42", fun t -> t.aosp PD.V4_2);
+    ("aosp43", fun t -> t.aosp PD.V4_3);
+    ("aosp44", fun t -> t.aosp PD.V4_4);
+    ("mozilla", fun t -> t.mozilla);
+    ("ios7", fun t -> t.ios7);
+  ]
+
+let official_store_names = List.map fst official_stores
+
+let store_of_name t name =
+  Option.map (fun store -> store t) (List.assoc_opt name official_stores)
 
 let store_of_category t label =
   let certs pred =

@@ -75,10 +75,14 @@ val find_root_by_key : t -> string -> root option
 (** Lookup by equivalence key, through the interner and the id-indexed
     table — [O(1)]. *)
 
+val official_store_names : string list
+(** The official stores' short names, [aosp41], [aosp42], [aosp43],
+    [aosp44], [mozilla] and [ios7]: the names the CLI and the serve
+    protocol take. *)
+
 val store_of_name : t -> string -> Tangled_store.Root_store.t option
-(** An official store by its short name: [aosp41], [aosp42], [aosp43],
-    [aosp44], [mozilla] or [ios7] — the names the CLI and the serve
-    protocol take.  [None] for any other name. *)
+(** An official store by its short name, one of
+    {!official_store_names}.  [None] for any other name. *)
 
 val store_of_category : t -> string -> Tangled_x509.Certificate.t list
 (** The certificate population of a Table 4 category, by its paper row

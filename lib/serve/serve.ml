@@ -125,8 +125,13 @@ type t = {
   mutable snapshot : snapshot;
   mutable totals : summary;
   mutable seq : int;  (* admitted-request ordinal, drives the fault hook *)
-  mutable quarantine_rev : Ingest.quarantined list;
+  quarantine : Ingest.quarantined Queue.t;
+      (** the newest [quarantine_capacity] records; [totals.quarantined]
+          counts them all *)
 }
+
+(* as many as Obs's bounded event log keeps *)
+let quarantine_capacity = 1024
 
 let create ?(config = default_config) world =
   let cache =
@@ -164,12 +169,12 @@ let create ?(config = default_config) world =
         drained = false;
       };
     seq = 0;
-    quarantine_rev = [];
+    quarantine = Queue.create ();
   }
 
 let summary t = t.totals
 let draining t = t.totals.drained
-let quarantine t = List.rev t.quarantine_rev
+let quarantine t = List.of_seq (Queue.to_seq t.quarantine)
 let ct_fleet t = Some t.fleet
 let cache_stats t = Option.map Cache.stats t.cache
 
@@ -696,9 +701,11 @@ let close t ~id ~line terminal =
         Obs.event "serve.quarantine"
           ~fields:
             [ ("label", Ingest.reason_label reason); ("frame", string_of_int s.seen) ];
-        t.quarantine_rev <-
+        if Queue.length t.quarantine = quarantine_capacity then
+          ignore (Queue.pop t.quarantine);
+        Queue.push
           { Ingest.line = s.seen; reason; snippet = Ingest.snippet_of line }
-          :: t.quarantine_rev;
+          t.quarantine;
         (c_quarantined, { s with quarantined = s.quarantined + 1 }, "error",
          error label detail)
     | Shed ->
@@ -713,13 +720,13 @@ let close t ~id ~line terminal =
 
 (* --- the admitted-request path ------------------------------------------ *)
 
-(* The store/index access of request [seq] may be fault-injected by
-   the chaos hook.  Transient faults retry with exponential backoff up
-   to [max_retries]; a fault that outlives the retries is answered as
-   a typed error, a permanent fault quarantines the poisoned request
-   immediately.  The loop is single-domain, so a backoff is recorded in
-   [backoff_s_total], never slept: waiting would stall every queued
-   request.  Once the access succeeds the op runs. *)
+(* The store/index access of request [seq] may be fault-injected
+   through [config.fault_hook].  Transient faults retry with exponential
+   backoff up to [max_retries]; a fault that outlives the retries is
+   answered as a typed error, a permanent fault quarantines the poisoned
+   request immediately.  The loop is single-domain, so a backoff is
+   recorded in [backoff_s_total], never slept: waiting would stall every
+   queued request.  Once the access succeeds the op runs. *)
 let negotiate_faults t ~seq deadline op =
   let rec go attempt =
     match t.config.fault_hook ~seq ~attempt with

@@ -131,7 +131,7 @@ type config = {
       (** fault injection aimed at the store/index access of request
           [seq] (0-based admission order), consulted once per attempt.
           [None] (the default) means the access succeeds — this is the
-          chaos drill's hook, never a production code path. *)
+          tests' hook, never a production code path. *)
 }
 
 val default_config : config
@@ -176,8 +176,11 @@ val draining : t -> bool
 (** [(summary t).drained]. *)
 
 val quarantine : t -> Ingest.quarantined list
-(** Quarantined frames in arrival order; [line] is the 1-based frame
-    ordinal in the stream (the running [seen]). *)
+(** The newest 1 024 quarantined frames, in arrival order; [line] is the
+    1-based frame ordinal in the stream (the running [seen]).  Older
+    records are dropped, so a hostile stream cannot grow the server's
+    heap; [(summary t).quarantined] still counts every quarantined
+    frame. *)
 
 val ct_fleet : t -> Tangled_ct.Fleet.t option
 (** The server's CT log fleet (always [Some]; built as

@@ -192,7 +192,7 @@ let prop_ingest_total_on_faulted_exports =
     (fun (seed, rate_i) ->
       let doc = Lazy.force export_fixture in
       let damaged, _ledger =
-        Tangled_fault.Fault.inject ~seed ~rate:(0.1 *. float_of_int rate_i) doc
+        Fault_inject.inject ~seed ~rate:(0.1 *. float_of_int rate_i) doc
       in
       let r = Ingest.sessions_of_string damaged in
       List.for_all

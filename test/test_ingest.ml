@@ -1,10 +1,10 @@
-(* The export→ingest loop: clean round trips are lossless, damaged
-   round trips quarantine precisely, and the chaos harness passes at
-   its pinned seed. *)
+(* The export→ingest loop: clean round trips are lossless, and damaged
+   round trips quarantine precisely — every fault the test-side injector
+   (fault_inject.ml) plants is accounted for, and the headline numbers
+   survive, at a pinned seed and at any seed. *)
 
 module Pipeline = Tangled_core.Pipeline
 module Export = Tangled_core.Export
-module Chaos = Tangled_core.Chaos
 module Ingest = Tangled_ingest.Ingest
 module Fault = Tangled_fault.Fault
 module Net = Tangled_netalyzr.Netalyzr
@@ -15,7 +15,7 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let world () = Lazy.force Pipeline.quick
 
-(* The chaos harness wants enough sessions that its 1% relative
+(* The pinned chaos run wants enough sessions that its 1% relative
    tolerance sits well above the sampling noise of record-destroying
    faults; reuse the quick PKI so only the field data is regenerated. *)
 let chaos_world =
@@ -84,6 +84,16 @@ let test_header_only () =
   check Alcotest.int "missing" 0 st.Ingest.missing;
   check Alcotest.string "digest" (Tangled_hash.Sha256.hex doc)
     st.Ingest.input_sha256
+
+(* The CLI's kind detection reads the line the entry points read as the
+   manifest: the first non-empty one, here after a blank line. *)
+let test_manifest_kind () =
+  let doc = "\n" ^ Export.notary_jsonl ~limit:5 (world ()) in
+  check Alcotest.(option string) "kind" (Some "notary") (Ingest.manifest_kind doc);
+  check Alcotest.(option int) "declared" (Some 5)
+    (Ingest.notary_of_string doc).Ingest.stats.Ingest.declared;
+  check Alcotest.(option string) "a record first" None
+    (Ingest.manifest_kind "\n\n[1]\n")
 
 (* Quarantine entries name the physical line of the input: blank lines
    are skipped as records but still counted. *)
@@ -292,48 +302,156 @@ let test_ingest_allocation () =
   per_byte "stores" (Export.stores_jsonl w)
     (fun d -> (Ingest.stores_of_string d).Ingest.stats) 2.95
 
+(* --- the fault-accounting oracle ------------------------------------------ *)
+
+(* Which quarantine labels may legitimately result from each fault
+   kind.  A structural-prefix bit flip either breaks the syntax, renames
+   the leading required field or lands on a control byte ('{' -> DEL,
+   caught before any parse); a truncation always ends the record
+   mid-value. *)
+let observed_matches (inj : Fault_inject.injection) (reason : Ingest.reason) =
+  match (inj.Fault_inject.kind, reason) with
+  | Fault.Truncate, Ingest.Truncated_record -> true
+  | Fault.Duplicate, Ingest.Duplicate_record _ -> true
+  | Fault.Identity_conflict, Ingest.Conflicting_record _ -> true
+  | Fault.Clock_skew, Ingest.Clock_skew _ -> true
+  | Fault.Missing_field, Ingest.Missing_field f -> inj.Fault_inject.field = Some f
+  | Fault.Type_confusion, Ingest.Type_mismatch f -> inj.Fault_inject.field = Some f
+  | ( Fault.Bit_flip,
+      ( Ingest.Malformed_json _ | Ingest.Control_bytes _ | Ingest.Missing_field _
+      | Ingest.Type_mismatch _ | Ingest.Truncated_record | Ingest.Bad_value _ ) ) ->
+      true
+  | _ -> false
+
+(* The injected faults that ingest did not account for, described: each
+   fault with an output line must be quarantined at that line under a
+   label its kind can produce, and the drops together must be the
+   records the manifest finds missing. *)
+let unaccounted dataset ledger (r : 'a Ingest.ingest) =
+  let by_line = Hashtbl.create 64 in
+  List.iter
+    (fun (q : Ingest.quarantined) -> Hashtbl.replace by_line q.Ingest.line q)
+    r.Ingest.quarantine;
+  let is_drop (inj : Fault_inject.injection) = inj.Fault_inject.kind = Fault.Drop in
+  let drops = List.length (List.filter is_drop ledger) in
+  let missing = r.Ingest.stats.Ingest.missing in
+  List.filter_map
+    (fun (inj : Fault_inject.injection) ->
+      let observed =
+        match inj.Fault_inject.out_line with
+        | None when missing = drops -> None
+        | None -> Some (Printf.sprintf "%d missing vs %d dropped" missing drops)
+        | Some line -> (
+            match Hashtbl.find_opt by_line line with
+            | None -> Some "not quarantined"
+            | Some q when observed_matches inj q.Ingest.reason -> None
+            | Some q -> Some (Ingest.reason_label q.Ingest.reason))
+      in
+      Option.map
+        (Printf.sprintf "%s record %d (%s: %s), observed %s" dataset
+           inj.Fault_inject.record
+           (Fault.kind_to_string inj.Fault_inject.kind)
+           inj.Fault_inject.note)
+        observed)
+    ledger
+
+(* Table 2's shares: for each of the five most frequent keys among the
+   clean sessions, its share of the clean and of the damaged sessions *)
+let top_shares label key clean damaged =
+  let tally (r : Ingest.session_view Ingest.ingest) =
+    let tbl = Hashtbl.create 64 in
+    Array.iter
+      (fun s ->
+        Hashtbl.replace tbl (key s)
+          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl (key s))))
+      r.Ingest.records;
+    (tbl, float_of_int (max 1 (Array.length r.Ingest.records)))
+  in
+  let c, n_clean = tally clean and d, n_damaged = tally damaged in
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) c []
+  |> List.sort (fun (ka, a) (kb, b) -> if a <> b then compare b a else compare ka kb)
+  |> List.filteri (fun i _ -> i < 5)
+  |> List.map (fun (k, n) ->
+         ( Printf.sprintf "%s share: %s" label k,
+           float_of_int n /. n_clean,
+           float_of_int (Option.value ~default:0 (Hashtbl.find_opt d k)) /. n_damaged ))
+
+type chaos = {
+  sessions : Ingest.session_view Ingest.ingest;  (** damaged, re-ingested *)
+  notary : Ingest.chain_view Ingest.ingest;  (** damaged, re-ingested *)
+  injected : Fault_inject.injection list;  (** both ledgers *)
+  unaccounted : string list;
+  drifted : string list;  (** headline rows beyond the 1% tolerance *)
+  table1_exact : bool;
+}
+
+(* Export the world, damage the field data (the store dump is reference
+   data and stays clean), re-ingest, and audit: every fault accounted,
+   the extended-store fraction and the top-5 device and manufacturer
+   shares within 1% relative of the clean run, Table 1 exact. *)
+let chaos_run ~seed ~rate w =
+  let sessions_doc = Export.sessions_jsonl w and notary_doc = Export.notary_jsonl w in
+  let sessions_bad, sessions_ledger = Fault_inject.inject ~seed ~rate sessions_doc in
+  let notary_bad, notary_ledger = Fault_inject.inject ~seed:(seed + 1) ~rate notary_doc in
+  let sessions = Ingest.sessions_of_string sessions_bad in
+  let notary = Ingest.notary_of_string notary_bad in
+  let clean = Ingest.sessions_of_string sessions_doc in
+  let rel_delta c d = if c = 0.0 then Float.abs d else Float.abs (d -. c) /. Float.abs c in
+  let rows =
+    ( "extended-store fraction",
+      Ingest.extended_fraction clean,
+      Ingest.extended_fraction sessions )
+    :: top_shares "device" (fun s -> s.Ingest.manufacturer ^ " " ^ s.Ingest.model) clean
+         sessions
+    @ top_shares "manufacturer" (fun s -> s.Ingest.manufacturer) clean sessions
+  in
+  {
+    sessions;
+    notary;
+    injected = sessions_ledger @ notary_ledger;
+    unaccounted =
+      unaccounted "sessions" sessions_ledger sessions
+      @ unaccounted "notary" notary_ledger notary;
+    drifted =
+      List.filter_map
+        (fun (metric, c, d) ->
+          if rel_delta c d <= 0.01 +. 1e-9 then None
+          else Some (Printf.sprintf "%s: clean %.4f, damaged %.4f" metric c d))
+        rows;
+    table1_exact =
+      Ingest.store_sizes (Ingest.stores_of_string (Export.stores_jsonl w))
+      = List.map (fun s -> (Rs.name s, Rs.cardinal s)) (Export.official_stores w);
+  }
+
 let test_chaos_fixed_seed () =
   let w = Lazy.force chaos_world in
-  let o = Chaos.run ~seed:12 ~rate:0.05 w in
+  let o = chaos_run ~seed:12 ~rate:0.05 w in
   (match
      Tangled_obs.Obs.validate_trace
        (Tangled_obs.Obs.trace_jsonl ~jobs:w.Pipeline.jobs ())
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "chaos run trace rejected: %s" e);
-  check Alcotest.bool "all faults accounted" true o.Chaos.accounted_all;
-  check Alcotest.bool "within tolerance" true o.Chaos.within_tolerance;
-  check Alcotest.bool "table 1 exact" true o.Chaos.table1_exact;
-  check Alcotest.bool "verdict ok" true o.Chaos.ok;
+  check Alcotest.(list string) "all faults accounted" [] o.unaccounted;
+  check Alcotest.(list string) "within tolerance" [] o.drifted;
+  check Alcotest.bool "table 1 exact" true o.table1_exact;
+  check Alcotest.bool "verdict ok" true
+    (o.unaccounted = [] && o.drifted = [] && o.table1_exact);
   (* the run must actually have injected and quarantined something *)
-  Alcotest.(check bool)
-    "faults injected" true
-    (List.length o.Chaos.accounting > 50);
+  Alcotest.(check bool) "faults injected" true (List.length o.injected > 50);
   Alcotest.(check bool)
     "sessions quarantined" true
-    (o.Chaos.sessions.Ingest.stats.Ingest.quarantined_total > 0);
+    (o.sessions.Ingest.stats.Ingest.quarantined_total > 0);
   Alcotest.(check bool)
     "notary quarantined" true
-    (o.Chaos.notary.Ingest.stats.Ingest.quarantined_total > 0);
+    (o.notary.Ingest.stats.Ingest.quarantined_total > 0);
   (* every fault kind fired at least once at this scale *)
   let kinds =
     List.sort_uniq compare
-      (List.map
-         (fun r -> Fault.kind_to_string r.Chaos.injection.Fault.kind)
-         o.Chaos.accounting)
+      (List.map (fun (i : Fault_inject.injection) -> i.Fault_inject.kind) o.injected)
   in
   check Alcotest.int "all fault kinds exercised"
-    (List.length Fault.all_kinds) (List.length kinds);
-  (* the rendered report must carry the verdict *)
-  let rendered = Chaos.render o in
-  Alcotest.(check bool)
-    "report has verdict" true
-    (let needle = "Verdict: OK" in
-     let n = String.length rendered and m = String.length needle in
-     let rec find i =
-       i + m <= n && (String.sub rendered i m = needle || find (i + 1))
-     in
-     find 0)
+    (List.length Fault.all_kinds) (List.length kinds)
 
 (* Export with any [limit] then ingest: lossless, no quarantine. *)
 let prop_limit_roundtrip =
@@ -354,9 +472,8 @@ let prop_chaos_always_accounted =
     ~count:15
     QCheck.(pair (int_range 0 10_000) (int_range 1 3))
     (fun (seed, rate_i) ->
-      let w = world () in
-      let o = Chaos.run ~seed ~rate:(0.03 *. float_of_int rate_i) w in
-      o.Chaos.accounted_all && o.Chaos.table1_exact)
+      let o = chaos_run ~seed ~rate:(0.03 *. float_of_int rate_i) (world ()) in
+      o.unaccounted = [] && o.table1_exact)
 
 let suite =
   [
@@ -384,4 +501,6 @@ let suite =
     Alcotest.test_case "chaos run at pinned seed" `Slow test_chaos_fixed_seed;
     qtest prop_limit_roundtrip;
     qtest prop_chaos_always_accounted;
+    Alcotest.test_case "the manifest kind is read where ingest reads it" `Quick
+      test_manifest_kind;
   ]

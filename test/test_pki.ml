@@ -189,11 +189,7 @@ let test_category_populations () =
 
 let test_store_of_name () =
   let u = Lazy.force universe in
-  List.iter
-    (fun (name, store) ->
-      match BP.store_of_name u name with
-      | Some s -> check Alcotest.bool name true (s == store)
-      | None -> Alcotest.failf "%s not resolved" name)
+  let official =
     [
       ("aosp41", u.BP.aosp PD.V4_1);
       ("aosp42", u.BP.aosp PD.V4_2);
@@ -201,7 +197,16 @@ let test_store_of_name () =
       ("aosp44", u.BP.aosp PD.V4_4);
       ("mozilla", u.BP.mozilla);
       ("ios7", u.BP.ios7);
-    ];
+    ]
+  in
+  check Alcotest.(list string) "official names" (List.map fst official)
+    BP.official_store_names;
+  List.iter
+    (fun (name, store) ->
+      match BP.store_of_name u name with
+      | Some s -> check Alcotest.bool name true (s == store)
+      | None -> Alcotest.failf "%s not resolved" name)
+    official;
   List.iter
     (fun name ->
       check Alcotest.bool ("unknown " ^ name) true (BP.store_of_name u name = None))
